@@ -73,7 +73,6 @@ let resolve a b pivot =
   of_list (keep a @ keep b)
 
 let remove l c = filter (fun l' -> not (Lit.equal l l')) c
-let remove_var v c = filter (fun l -> Lit.var l <> v) c
 
 let pp_sep fmt () = Format.pp_print_string fmt " "
 

@@ -46,6 +46,5 @@ val vars : t -> Lit.var list
 val resolve : t -> t -> Lit.var -> t
 
 val remove : Lit.t -> t -> t
-val remove_var : Lit.var -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -26,9 +26,6 @@ let matrix t = t.matrix
 let nvars t = Prefix.nvars t.prefix
 let num_clauses t = List.length t.matrix
 
-let num_literals t =
-  List.fold_left (fun n c -> n + Clause.size c) 0 t.matrix
-
 (* Lemma 3: a universal literal [u] can be removed from a clause when no
    existential literal [e] of the clause satisfies [|u| ≺ |e|]. *)
 let universal_reduce_clause prefix c =
@@ -41,21 +38,6 @@ let universal_reduce_clause prefix c =
   in
   Clause.filter
     (fun l -> Prefix.is_exists prefix (Lit.var l) || is_blocked l)
-    c
-
-(* Dual of Lemma 3 for cubes (terms): an existential literal [e] can be
-   removed from a cube when no universal literal [u] of the cube satisfies
-   [|e| ≺ |u|]. *)
-let existential_reduce_cube prefix c =
-  let is_blocked e =
-    Clause.exists
-      (fun u ->
-        Prefix.is_forall prefix (Lit.var u)
-        && Prefix.lit_precedes prefix e u)
-      c
-  in
-  Clause.filter
-    (fun l -> Prefix.is_forall prefix (Lit.var l) || is_blocked l)
     c
 
 (* A clause is contradictory (Lemma 4 via Lemma 3) when its universal

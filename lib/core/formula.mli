@@ -12,16 +12,11 @@ val prefix : t -> Prefix.t
 val matrix : t -> Clause.t list
 val nvars : t -> int
 val num_clauses : t -> int
-val num_literals : t -> int
 
 (** Lemma 3 of the paper: remove from a clause every universal literal
     whose variable does not precede any existential variable of the
     clause.  Sound for arbitrary (non-prenex) prefixes. *)
 val universal_reduce_clause : Prefix.t -> Clause.t -> Clause.t
-
-(** Dual reduction for cubes/terms: remove every existential literal whose
-    variable does not precede any universal variable of the cube. *)
-val existential_reduce_cube : Prefix.t -> Clause.t -> Clause.t
 
 (** A clause with no existential literal (its universal reduction is the
     empty clause) — Lemma 4. *)

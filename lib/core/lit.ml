@@ -13,7 +13,6 @@ let make v sign = if sign then 2 * v else (2 * v) + 1
 let var l = l lsr 1
 let negate l = l lxor 1
 let is_pos l = l land 1 = 0
-let is_neg l = l land 1 = 1
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Int.compare a b
 let hash (l : t) = l

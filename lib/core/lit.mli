@@ -18,7 +18,6 @@ val make : var -> bool -> t
 val var : t -> var
 val negate : t -> t
 val is_pos : t -> bool
-val is_neg : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -227,15 +227,6 @@ let fold_blocks f acc p =
   in
   List.fold_left go acc (roots_ids [] 0)
 
-let vars_in_order p =
-  let out = ref [] in
-  let rec go (Node (_, vars, children)) =
-    out := List.rev_append vars !out;
-    List.iter go children
-  in
-  List.iter go p.roots;
-  List.rev !out
-
 let rec pp_tree fmt (Node (q, vars, children)) =
   Format.fprintf fmt "@[<hv 2>(%s (%a)" (Quant.symbol q)
     (Format.pp_print_list

@@ -97,8 +97,5 @@ val blocks_outermost_first : t -> (Quant.t * var list) list
 (** Fold over block ids in DFS preorder. *)
 val fold_blocks : ('a -> int -> 'a) -> 'a -> t -> 'a
 
-(** Variables in DFS preorder. *)
-val vars_in_order : t -> var list
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -39,13 +39,6 @@ let all =
     ("EupAdown", e_up_a_down);
   ]
 
-let strategy_name st =
-  match (st.ex, st.fa) with
-  | Up, Up -> "EupAup"
-  | Up, Down -> "EupAdown"
-  | Down, Up -> "EdownAup"
-  | Down, Down -> "EdownAdown"
-
 let dir st q = match q with Quant.Exists -> st.ex | Quant.Forall -> st.fa
 
 (* Place all blocks for skeleton starting with quantifier [s1]; returns

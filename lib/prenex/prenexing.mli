@@ -24,8 +24,6 @@ val e_down_a_down : strategy
     Table I of the paper. *)
 val all : (string * strategy) list
 
-val strategy_name : strategy -> string
-
 val apply : strategy -> Formula.t -> Formula.t
 
 (** [extends p p'] checks that [p'] preserves quantifiers and every

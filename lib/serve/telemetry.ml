@@ -179,11 +179,6 @@ let merged_profile t =
           | Some acc -> Some (Profile.merge_snapshot acc p)))
     t.attempt_stats None
 
-let lifecycle_reconciles t =
-  get t "workers_spawned"
-  = get t "workers_reaped_clean" + get t "workers_reaped_crash"
-    + get t "workers_reaped_signal" + get t "workers_reaped_oom"
-
 (* ------------------------------------------------------------------ *)
 (* JSON exposition                                                     *)
 

@@ -24,8 +24,7 @@ type t = {
   mutable flags : int array; (* bit0 cube, bit1 learned, bit2 active,
                                 bit3 parked *)
   mutable frame : int array;
-  mutable ue : int array;
-  mutable uu : int array;
+  mutable opens : int array;
   mutable fixed : int array;
   mutable w1 : int array;
   mutable w2 : int array;
@@ -55,8 +54,7 @@ let create () =
     len = Array.make 64 0;
     flags = Array.make 64 0;
     frame = Array.make 64 0;
-    ue = Array.make 64 0;
-    uu = Array.make 64 0;
+    opens = Array.make 64 0;
     fixed = Array.make 64 0;
     w1 = Array.make 64 (-1);
     w2 = Array.make 64 (-1);
@@ -70,13 +68,6 @@ let create () =
   }
 
 let size db = db.n
-
-let live_lits db =
-  let total = ref 0 in
-  for cid = 0 to db.n - 1 do
-    if db.flags.(cid) land f_active <> 0 then total := !total + db.len.(cid)
-  done;
-  !total
 
 (* ------------------------------------------------------------------ *)
 (* Growth *)
@@ -100,8 +91,7 @@ let ensure_slot db =
     db.len <- grow_int db.len need 0;
     db.flags <- grow_int db.flags need 0;
     db.frame <- grow_int db.frame need 0;
-    db.ue <- grow_int db.ue need 0;
-    db.uu <- grow_int db.uu need 0;
+    db.opens <- grow_int db.opens need 0;
     db.fixed <- grow_int db.fixed need 0;
     db.w1 <- grow_int db.w1 need (-1);
     db.w2 <- grow_int db.w2 need (-1);
@@ -131,8 +121,7 @@ let add db ~kind ~learned ~frame lits =
     lor (match kind with ST.Cube_c -> f_cube | ST.Clause_c -> 0)
     lor (if learned then f_learned else 0);
   db.frame.(cid) <- frame;
-  db.ue.(cid) <- 0;
-  db.uu.(cid) <- 0;
+  db.opens.(cid) <- 0;
   db.fixed.(cid) <- 0;
   db.w1.(cid) <- -1;
   db.w2.(cid) <- -1;
@@ -172,17 +161,14 @@ let lits_list db cid =
   go (s + db.len.(cid) - 1) []
 
 let copy_lits db cid = Array.sub db.lits db.start.(cid) db.len.(cid)
-let ue db cid = db.ue.(cid)
-let uu db cid = db.uu.(cid)
+let opens db cid = db.opens.(cid)
 let fixed db cid = db.fixed.(cid)
 
-let set_counters db cid ~ue ~uu ~fixed =
-  db.ue.(cid) <- ue;
-  db.uu.(cid) <- uu;
+let set_counters db cid ~opens ~fixed =
+  db.opens.(cid) <- opens;
   db.fixed.(cid) <- fixed
 
-let add_ue db cid d = db.ue.(cid) <- db.ue.(cid) + d
-let add_uu db cid d = db.uu.(cid) <- db.uu.(cid) + d
+let add_open db cid d = db.opens.(cid) <- db.opens.(cid) + d
 let add_fixed db cid d = db.fixed.(cid) <- db.fixed.(cid) + d
 let w1 db cid = db.w1.(cid)
 let w2 db cid = db.w2.(cid)
@@ -249,8 +235,7 @@ let compact db =
         db.len.(nid) <- l;
         db.flags.(nid) <- db.flags.(cid);
         db.frame.(nid) <- db.frame.(cid);
-        db.ue.(nid) <- db.ue.(cid);
-        db.uu.(nid) <- db.uu.(cid);
+        db.opens.(nid) <- db.opens.(cid);
         db.fixed.(nid) <- db.fixed.(cid);
         db.w1.(nid) <- db.w1.(cid);
         db.w2.(nid) <- db.w2.(cid);

@@ -29,9 +29,6 @@ val create : unit -> t
 (* Number of slots, live or deactivated.  Valid ids are [0 .. size-1]. *)
 val size : t -> int
 
-(* Total live literals in the arena (bench/introspection). *)
-val live_lits : t -> int
-
 (* Append a constraint; returns its id.  The literal array is copied
    into the arena.  New constraints start active, unparked, with
    counters and marks zeroed and watches unset (-1). *)
@@ -54,19 +51,19 @@ val exists_lit : t -> int -> (int -> bool) -> bool
 val lits_list : t -> int -> int list
 val copy_lits : t -> int -> int array
 
-(* -- propagation counters (Counters engine) ------------------------ *)
+(* -- propagation counters (counter-maintained constraints) --------- *)
 
-val ue : t -> int -> int (* unassigned existential literals *)
-val uu : t -> int -> int (* unassigned universal literals *)
+(* Unassigned primary literals: existential for a clause, universal for
+   a cube (see State). *)
+val opens : t -> int -> int
 
+(* Settling literals: true ones for a clause (satisfied when > 0), false
+   ones for a cube (dead when > 0). *)
 val fixed : t -> int -> int
-(* clauses: currently-true literals (satisfied when > 0); cubes:
-   currently-false literals (dead when > 0).  Left at 0 for
-   watch-maintained constraints. *)
 
-val set_counters : t -> int -> ue:int -> uu:int -> fixed:int -> unit
-val add_ue : t -> int -> int -> unit
-val add_uu : t -> int -> int -> unit
+(* Both counters are left at 0 for watch-maintained constraints. *)
+val set_counters : t -> int -> opens:int -> fixed:int -> unit
+val add_open : t -> int -> int -> unit
 val add_fixed : t -> int -> int -> unit
 
 (* -- watched literals (Watched engine) ----------------------------- *)

@@ -47,9 +47,9 @@ let rescan_falsified s =
       && (not (Db.is_cube db cid))
       &&
       if Db.watched db cid then
-        let ue, _, fixed = S.scan_status s cid in
-        fixed = 0 && ue = 0
-      else Db.fixed db cid = 0 && Db.ue db cid = 0
+        let opens, fixed = S.scan_status s cid in
+        fixed = 0 && opens = 0
+      else Db.fixed db cid = 0 && Db.opens db cid = 0
     then Some cid
     else go (cid + 1)
   in
@@ -62,6 +62,9 @@ let rec luby i =
   let rec find k = if pow2 k - 1 >= i then k else find (k + 1) in
   let k = find 1 in
   if pow2 k - 1 = i then pow2 (k - 1) else luby (i - pow2 (k - 1) + 1)
+
+(* Variable activities are halved every this many leaves (Section VI). *)
+let rescale_interval = 256
 
 (* Learned constraints with this LBD or less are glue: kept forever,
    like Glucose's level-2 clauses. *)
@@ -161,7 +164,7 @@ let solve_state s =
   in
   let maybe_rescale () =
     let n = leaves s in
-    if n > 0 && n mod s.S.config.search.rescale_interval = 0 then
+    if n > 0 && n mod rescale_interval = 0 then
       S.rescale_activities s
   in
   (* Phase spans are opened and closed inline under the profile flag so

@@ -140,7 +140,6 @@ type search = {
          constraint may be undetectedly conflicting, unit, or (for
          cubes) satisfied when the engine is about to branch.  O(db)
          per decision — tests and fuzzing only *)
-  rescale_interval : int; (* variable-activity-halving period, in leaves *)
   restarts : bool; (* Luby-scheduled restarts (keep learned constraints) *)
   restart_base : int; (* leaves per Luby unit *)
   phase_saving : bool;
@@ -208,7 +207,6 @@ let default_search =
     heuristic = Partial_order;
     propagation = Watched;
     debug_checks = false;
-    rescale_interval = 256;
     restarts = false;
     restart_base = 128;
     phase_saving = true;
@@ -249,9 +247,6 @@ let with_pure_literals v = with_search (fun s -> { s with pure_literals = v })
 let with_heuristic v = with_search (fun s -> { s with heuristic = v })
 let with_propagation v = with_search (fun s -> { s with propagation = v })
 let with_debug_checks v = with_search (fun s -> { s with debug_checks = v })
-
-let with_rescale_interval v =
-  with_search (fun s -> { s with rescale_interval = v })
 
 let with_restarts v = with_search (fun s -> { s with restarts = v })
 let with_restart_base v = with_search (fun s -> { s with restart_base = v })

@@ -10,17 +10,18 @@
    and owns the compaction protocol that keeps them in sync when the
    database drops constraints ({!compact_db}).
 
-   Counter scheme: every constraint keeps the number of its unassigned
-   existential ([ue]) and universal ([uu]) literals plus a [fixed] counter
-   (true literals for clauses, false literals for cubes).  Then, with the
-   side conditions of Lemmas 4/5 checked lazily:
-     clause conflict    <-> fixed = 0 && ue = 0
-     clause unit        <-> fixed = 0 && ue = 1  (+ scope condition)
-     cube solution      <-> fixed = 0 && uu = 0
-     cube unit          <-> fixed = 0 && uu = 1  (+ scope condition)
-   Constraints whose counters reach these states are pushed on discovery
-   queues which the propagation loop re-verifies (they may be stale after
-   backtracking, which clears the queues).
+   Clauses and cubes are dual, and every rule below is written once for
+   both.  A constraint's *primary* literals are its owner's: existential
+   in a clause, universal in a cube.  Its *settling* literals are the
+   true ones of a clause and the false ones of a cube.  Counter scheme:
+   every constraint keeps [opens], its unassigned primaries, and
+   [fixed], its settling literals.  Then, with the side conditions of
+   Lemmas 4/5 and their duals checked lazily:
+     leaf (conflicting clause, satisfied cube) <-> fixed = 0 && opens = 0
+     unit                  <-> fixed = 0 && opens = 1  (+ scope condition)
+   Leaves are pushed on [conflict_q] or [cubesat_q] by kind, units on
+   [unit_q]; the propagation loop re-verifies every entry (they may be
+   stale after backtracking, which clears the queues).
 
    Under [config.search.propagation = Watched] the counter scheme above
    is kept for *original* constraints only (purity needs exact
@@ -43,7 +44,7 @@ let neg l = l lxor 1
 let is_pos l = l land 1 = 0
 
 (* Fields marked [mutable] below fall into two groups: search-time
-   scalars (trail bookkeeping, epochs) and the per-variable / per-literal
+   scalars (trail bookkeeping, queue epoch) and the per-variable / per-literal
    / per-block tables, which incremental sessions swap wholesale when the
    prefix grows ({!extend}).  Everything indexed by DFS numbers of the
    quantifier forest (block ids, [d]/[f] timestamps, [plevel]) is
@@ -108,8 +109,6 @@ type t = {
          clauses; deferred until quiescence so that satisfied-elsewhere
          auxiliary gates can instead turn pure-negative, which keeps
          learned goods short (see Propagate) *)
-  mutable seen : int array; (* per var: epoch marks for analysis *)
-  mutable epoch : int;
   mutable stop_ticks : int;
       (* budget checks since the last [should_stop] poll (see
          Engine.budget_exhausted) *)
@@ -142,6 +141,16 @@ let lit_value s l =
   if w < 0 then -1 else if (w = 1) = is_pos l then 1 else 0
 
 let is_assigned s v = s.value.(v) >= 0
+
+(* Primary and settling literals, as defined in the header. *)
+let primary s kind m =
+  match kind with
+  | Clause_c -> s.is_exist.(var m)
+  | Cube_c -> not s.is_exist.(var m)
+
+(* [settles kind v]: a literal of value [v] (0 or 1) is settling. *)
+let settles kind v = match kind with Clause_c -> v = 1 | Cube_c -> v = 0
+
 let current_level s = Vec.length s.trail_lim
 
 let event s e =
@@ -162,17 +171,19 @@ let push_unit s cid =
     Vec.push s.unit_q cid
   end
 
-let push_conflict s cid =
+let leaf_queue s kind =
+  match kind with Clause_c -> s.conflict_q | Cube_c -> s.cubesat_q
+
+let push_leaf s kind cid =
   if Db.cq_mark s.db cid <> s.qepoch then begin
     Db.set_cq_mark s.db cid s.qepoch;
-    Vec.push s.conflict_q cid
+    Vec.push (leaf_queue s kind) cid
   end
 
-let push_cubesat s cid =
-  if Db.cq_mark s.db cid <> s.qepoch then begin
-    Db.set_cq_mark s.db cid s.qepoch;
-    Vec.push s.cubesat_q cid
-  end
+(* Queue a constraint with no settling literal by its open primaries. *)
+let announce s kind cid opens =
+  if opens = 0 then push_leaf s kind cid
+  else if opens = 1 then push_unit s cid
 
 (* --- purity bookkeeping ------------------------------------------------ *)
 
@@ -199,17 +210,10 @@ let clause_now_unsatisfied s cid =
 
 (* --- constraint touch on assignment ------------------------------------ *)
 
-let check_clause_state s cid =
-  if Db.fixed s.db cid = 0 then
-    let ue = Db.ue s.db cid in
-    if ue = 0 then push_conflict s cid
-    else if ue = 1 then push_unit s cid
-
-let check_cube_state s cid =
-  if Db.fixed s.db cid = 0 then
-    let uu = Db.uu s.db cid in
-    if uu = 0 then push_cubesat s cid
-    else if uu = 1 then push_unit s cid
+(* [opens] is read only once [fixed] is known to be 0: the check runs
+   on every touch of a counter-maintained constraint. *)
+let check_state s kind cid =
+  if Db.fixed s.db cid = 0 then announce s kind cid (Db.opens s.db cid)
 
 (* --- watched literals (learned constraints under Watched) --------------- *)
 
@@ -238,19 +242,13 @@ let eligible s kind m =
   | Cube_c -> lit_value s m <> 1
 
 (* Find two distinct eligible, structurally compatible literals: two
-   primaries (existentials of a clause / universals of a cube), else one
-   primary plus an eligible secondary preceding it.  Scans in arena
-   order, so the result is deterministic. *)
+   primaries, else one primary plus an eligible secondary preceding it.
+   Scans in arena order, so the result is deterministic. *)
 let find_watch_pair s cid =
   let kind = Db.kind s.db cid in
-  let primary m =
-    match kind with
-    | Clause_c -> s.is_exist.(var m)
-    | Cube_c -> not s.is_exist.(var m)
-  in
   let p1 = ref (-1) and p2 = ref (-1) in
   Db.iter_lits s.db cid (fun m ->
-      if eligible s kind m && primary m then
+      if eligible s kind m && primary s kind m then
         if !p1 < 0 then p1 := m else if !p2 < 0 then p2 := m);
   if !p1 < 0 then None
   else if !p2 >= 0 then Some (!p1, !p2)
@@ -260,7 +258,7 @@ let find_watch_pair s cid =
     Db.iter_lits s.db cid (fun m ->
         if
           !sec < 0
-          && (not (primary m))
+          && (not (primary s kind m))
           && eligible s kind m
           && precedes s (var m) (var p)
         then sec := m);
@@ -291,28 +289,36 @@ let set_watch_pair s cid a b =
   if a <> old1 && a <> old2 then Vec.push (watch_list s kind a) cid;
   if b <> a && b <> old1 && b <> old2 then Vec.push (watch_list s kind b) cid
 
-(* Exact state of a watch-maintained constraint (its counter fields are
-   dead), by scanning the assignment. *)
+(* Exact [(opens, fixed)] of a watch-maintained constraint (its counter
+   fields are dead), by scanning the assignment. *)
 let scan_status s cid =
-  let is_cube = Db.is_cube s.db cid in
-  let ue = ref 0 and uu = ref 0 and fixed = ref 0 in
+  let kind = Db.kind s.db cid in
+  let opens = ref 0 and fixed = ref 0 in
   Db.iter_lits s.db cid (fun m ->
       match lit_value s m with
-      | -1 -> if s.is_exist.(var m) then incr ue else incr uu
-      | 1 -> if not is_cube then incr fixed
-      | _ -> if is_cube then incr fixed);
-  (!ue, !uu, !fixed)
+      | -1 -> if primary s kind m then incr opens
+      | v -> if settles kind v then incr fixed);
+  (!opens, !fixed)
 
 let classify_and_queue s cid =
-  let ue, uu, fixed = scan_status s cid in
-  if fixed = 0 then
-    match Db.kind s.db cid with
-    | Clause_c ->
-        if ue = 0 then push_conflict s cid
-        else if ue = 1 then push_unit s cid
-    | Cube_c ->
-        if uu = 0 then push_cubesat s cid
-        else if uu = 1 then push_unit s cid
+  let opens, fixed = scan_status s cid in
+  if fixed = 0 then announce s (Db.kind s.db cid) cid opens
+
+(* The unit rule of Lemma 5 and its dual, for a constraint with no
+   settling literal and one open primary: [open_primary] finds that
+   primary [p], and the rule is blocked when an unassigned non-primary
+   literal ≺-precedes it. *)
+let open_primary s kind cid =
+  let p = ref (-1) in
+  Db.iter_lits s.db cid (fun m ->
+      if lit_value s m < 0 && primary s kind m then p := m);
+  !p
+
+let unit_blocked s kind cid p =
+  Db.exists_lit s.db cid (fun m ->
+      lit_value s m < 0
+      && (not (primary s kind m))
+      && precedes s (var m) (var p))
 
 (* A compatible eligible watch pair cannot be found right now: flag the
    constraint and register it for post-backtrack repair.  Assignments
@@ -406,19 +412,6 @@ let visit_watchers s kind m =
    queues drained, nothing fired); the engine calls it right before
    branching.  O(db) per call, debug builds only. *)
 let find_missed_discovery s =
-  let blocked_unit cid =
-    (* the single unassigned primary is blocked by an unassigned
-       secondary that precedes it (Lemma 5 and its dual) *)
-    let is_clause = not (Db.is_cube s.db cid) in
-    let prim = ref (-1) in
-    Db.iter_lits s.db cid (fun m ->
-        if lit_value s m < 0 && s.is_exist.(var m) = is_clause then prim := m);
-    !prim >= 0
-    && Db.exists_lit s.db cid (fun m ->
-           lit_value s m < 0
-           && s.is_exist.(var m) <> is_clause
-           && precedes s (var m) (var !prim))
-  in
   let describe cid what =
     let b = Buffer.create 128 in
     Buffer.add_string b
@@ -438,48 +431,45 @@ let find_missed_discovery s =
   let missed = ref None in
   for cid = 0 to Db.size s.db - 1 do
     if !missed = None && Db.active s.db cid && Db.num_lits s.db cid > 0 then begin
-      let ue, uu, fixed = scan_status s cid in
+      let opens, fixed = scan_status s cid in
+      let kind = Db.kind s.db cid in
       let bad what = missed := Some (cid, describe cid what) in
       if fixed = 0 then
-        match Db.kind s.db cid with
-        | Clause_c ->
-            if ue = 0 then bad "conflicting clause"
-            else if ue = 1 && not (blocked_unit cid) then bad "unit clause"
-        | Cube_c ->
-            if uu = 0 then bad "satisfied cube"
-            else if uu = 1 && not (blocked_unit cid) then bad "unit cube"
+        if opens = 0 then
+          bad
+            (if kind = Clause_c then "conflicting clause" else "satisfied cube")
+        else if
+          opens = 1 && not (unit_blocked s kind cid (open_primary s kind cid))
+        then bad (if kind = Clause_c then "unit clause" else "unit cube")
     end
   done;
   !missed
 
-(* [m] (a literal of constraint [cid]) was just assigned; [m_true] says
-   whether it became true. *)
-let touch_assign s cid m m_true =
+(* [m] (a literal of constraint [cid]) was just assigned value [v]. *)
+let touch_assign s cid m v =
   let db = s.db in
   if Db.active db cid then begin
-    if s.is_exist.(var m) then Db.add_ue db cid (-1) else Db.add_uu db cid (-1);
-    if not (Db.is_cube db cid) then begin
-      if m_true then begin
-        Db.add_fixed db cid 1;
-        if Db.fixed db cid = 1 then clause_now_satisfied s cid
-      end
-      else check_clause_state s cid
+    let kind = Db.kind db cid in
+    if primary s kind m then Db.add_open db cid (-1);
+    if settles kind v then begin
+      Db.add_fixed db cid 1;
+      if kind = Clause_c && Db.fixed db cid = 1 then clause_now_satisfied s cid
     end
-    else if m_true then check_cube_state s cid
-    else Db.add_fixed db cid 1
+    else check_state s kind cid
   end
 
-let touch_unassign s cid m m_was_true =
+(* [m] (a literal of constraint [cid]) had value [v] and was just
+   unassigned. *)
+let touch_unassign s cid m v =
   let db = s.db in
   if Db.active db cid then begin
-    if s.is_exist.(var m) then Db.add_ue db cid 1 else Db.add_uu db cid 1;
-    if not (Db.is_cube db cid) then begin
-      if m_was_true then begin
-        Db.add_fixed db cid (-1);
-        if Db.fixed db cid = 0 then clause_now_unsatisfied s cid
-      end
+    let kind = Db.kind db cid in
+    if primary s kind m then Db.add_open db cid 1;
+    if settles kind v then begin
+      Db.add_fixed db cid (-1);
+      if kind = Clause_c && Db.fixed db cid = 0 then
+        clause_now_unsatisfied s cid
     end
-    else if not m_was_true then Db.add_fixed db cid (-1)
   end
 
 (* --- assignment and backtracking --------------------------------------- *)
@@ -495,8 +485,8 @@ let assign s l ante =
   Vec.push s.trail l;
   let b = s.block_of.(v) in
   s.block_unassigned.(b) <- s.block_unassigned.(b) - 1;
-  Vec.iter (fun cid -> touch_assign s cid l true) s.occ.(l);
-  Vec.iter (fun cid -> touch_assign s cid (neg l) false) s.occ.(neg l);
+  Vec.iter (fun cid -> touch_assign s cid l 1) s.occ.(l);
+  Vec.iter (fun cid -> touch_assign s cid (neg l) 0) s.occ.(neg l);
   if s.use_watches then begin
     visit_watchers s Clause_c (neg l);
     visit_watchers s Cube_c l
@@ -504,8 +494,8 @@ let assign s l ante =
 
 let unassign s l =
   let v = var l in
-  Vec.iter (fun cid -> touch_unassign s cid l true) s.occ.(l);
-  Vec.iter (fun cid -> touch_unassign s cid (neg l) false) s.occ.(neg l);
+  Vec.iter (fun cid -> touch_unassign s cid l 1) s.occ.(l);
+  Vec.iter (fun cid -> touch_unassign s cid (neg l) 0) s.occ.(neg l);
   (* phase saving: remember the polarity this assignment had, whoever
      made it; the heuristic decides whether to consult it *)
   s.saved_phase.(v) <- s.value.(v);
@@ -612,31 +602,26 @@ let add_constraint s kind ~learned ?frame ?(lbd = 0) lits =
       Proof.input_clause p ~pid (Array.to_list lits)
   | _ -> ());
   let watch_only = s.use_watches && learned in
-  let ue = ref 0 and uu = ref 0 and fixed = ref 0 in
+  let opens = ref 0 and fixed = ref 0 in
   Array.iter
     (fun m ->
       s.counter.(m) <- s.counter.(m) + 1;
       if not watch_only then begin
         Vec.push s.occ.(m) cid;
         match lit_value s m with
-        | -1 -> if s.is_exist.(var m) then incr ue else incr uu
-        | 1 -> if kind = Clause_c then incr fixed
-        | _ -> if kind = Cube_c then incr fixed
+        | -1 -> if primary s kind m then incr opens
+        | v -> if settles kind v then incr fixed
       end)
     lits;
-  if not watch_only then Db.set_counters s.db cid ~ue:!ue ~uu:!uu ~fixed:!fixed;
   if watch_only then init_watches s cid
-  else
-    (match kind with
-    | Clause_c ->
-        if !fixed = 0 then begin
-          if not learned then begin
-            s.unsat_originals <- s.unsat_originals + 1;
-            Array.iter (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1) lits
-          end;
-          check_clause_state s cid
-        end
-    | Cube_c -> check_cube_state s cid);
+  else begin
+    Db.set_counters s.db cid ~opens:!opens ~fixed:!fixed;
+    if kind = Clause_c && !fixed = 0 && not learned then begin
+      s.unsat_originals <- s.unsat_originals + 1;
+      Array.iter (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1) lits
+    end;
+    check_state s kind cid
+  end;
   if not learned then s.num_original <- s.num_original + 1;
   cid
 
@@ -761,8 +746,6 @@ let create formula config =
       pure_q = Vec.create (-1);
       parked_q = Vec.create (-1);
       pure_defer_q = Vec.create (-1);
-      seen = Array.make n 0;
-      epoch = 0;
       stop_ticks = 0;
       drop_ok = tb.t_drop_ok;
       is_aux = tb.t_is_aux;
@@ -908,11 +891,6 @@ let rescale_activities s =
     s.last_counter.(l) <- s.counter.(sel)
   done
 
-(* Fresh epoch for the analysis marker array. *)
-let new_epoch s =
-  s.epoch <- s.epoch + 1;
-  s.epoch
-
 (* --- incremental-session support ---------------------------------------- *)
 
 (* Undo the entire trail, including level-0 assignments.  Level-0 units
@@ -966,8 +944,7 @@ let requeue_all s =
   for cid = 0 to Db.size s.db - 1 do
     if Db.active s.db cid then
       if Db.watched s.db cid then classify_and_queue s cid
-      else if Db.is_cube s.db cid then check_cube_state s cid
-      else check_clause_state s cid
+      else check_state s (Db.kind s.db cid) cid
   done
 
 (* Re-seed purity candidates (the mirror of the loop in [create]). *)
@@ -1015,7 +992,6 @@ let extend s prefix =
   s.vlevel <- grow_array s.vlevel n (-1);
   s.pos <- grow_array s.pos n (-1);
   s.saved_phase <- grow_array s.saved_phase n (-1);
-  s.seen <- grow_array s.seen n 0;
   s.pos_unsat <- grow_array s.pos_unsat (2 * n) 0;
   s.counter <- grow_array s.counter (2 * n) 0;
   s.act <- grow_array s.act (2 * n) 0.;
