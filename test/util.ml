@@ -79,6 +79,15 @@ let configs () =
         [ true; false ])
     [ true; false ]
 
+(* QCheck draws a fresh seed on every run unless QCHECK_SEED is set, so
+   each run would check different cases.  Pin it; QCHECK_SEED still
+   selects another one. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None -> 2006
+
 let qcheck_case ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| qcheck_seed |])
     (QCheck2.Test.make ~count ~name gen prop)

@@ -47,9 +47,9 @@
       checker (Qbf_check.Checker, no solver code) replays successfully
       against the formula, concluding the same value.
 
-   Stops early when --max-seconds is exceeded (the smoke target in
-   test/dune runs a 2-second slice on every `dune runtest`).  Exits
-   nonzero on any mismatch or escaped exception. *)
+   Stops early when --max-seconds is exceeded.  The smoke target in
+   test/dune runs the default 500 seeds on every `dune runtest`, with no
+   deadline.  Exits nonzero on any mismatch or escaped exception. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
