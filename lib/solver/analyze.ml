@@ -19,6 +19,10 @@
    unflipped decision of the losing player).  Learning is therefore an
    accelerator and never a soundness risk.
 
+   No analysis step allocates a table: the working set and every mark
+   are epoch-stamped arrays in State, and the solution cover walks the
+   Constraint_db index of original clauses, not the whole arena.
+
    Learned-DB lifecycle hooks live here too: every constraint that takes
    part in a resolution (the starting conflict/cube and each antecedent
    resolved on) gets its activity bumped, the per-analysis decay runs
@@ -58,6 +62,10 @@ type conclusion =
 
 let kind_of ~cube = if cube then Cube_c else Clause_c
 
+let fresh_epoch s =
+  s.S.an_epoch <- s.S.an_epoch + 1;
+  s.S.an_epoch
+
 (* Quantified LBD analog of a constraint about to be learned: distinct
    decision levels among its assigned literals, against the assignment
    *before* the backjump.  Clauses and cubes score through the same
@@ -65,13 +73,16 @@ let kind_of ~cube = if cube then Cube_c else Clause_c
    levels — so their glue values are comparable within a kind, which is
    all DB reduction compares. *)
 let lbd_of s lits =
-  let tbl = Hashtbl.create 17 in
-  Array.iter
-    (fun l ->
+  let e = fresh_epoch s in
+  Array.fold_left
+    (fun n l ->
       let v = S.var l in
-      if S.is_assigned s v then Hashtbl.replace tbl s.S.vlevel.(v) ())
-    lits;
-  Hashtbl.length tbl
+      if S.is_assigned s v && s.S.an_level.(s.S.vlevel.(v)) <> e then begin
+        s.S.an_level.(s.S.vlevel.(v)) <- e;
+        n + 1
+      end
+      else n)
+    0 lits
 
 (* ---------- chronological fallback (plain Q-DLL backtracking) --------- *)
 
@@ -98,14 +109,12 @@ let chrono s ~exist_side =
 
 exception Fallback
 
-type work = {
-  tbl : (int, int) Hashtbl.t; (* var -> literal *)
-  merged : (int, unit) Hashtbl.t; (* long-distance merged variables *)
-  mutable members : int list; (* current literals *)
-}
+(* The current literals, newest first, stamped [epoch] in [an_work];
+   merged (long-distance) variables, all members, in [an_merged]. *)
+type work = { mutable epoch : int; mutable members : int list }
 
-let work_create () =
-  { tbl = Hashtbl.create 64; merged = Hashtbl.create 4; members = [] }
+let work_create s = { epoch = fresh_epoch s; members = [] }
+let is_merged s w v = s.S.an_merged.(v) = w.epoch
 
 (* [bad] rejects literals that would break the working-set invariant of
    search-time analysis: no settling literal (see State).
@@ -125,24 +134,32 @@ let work_create () =
    the pair is unassigned. *)
 let work_add s w ~bad ?merge l =
   let v = S.var l in
-  match Hashtbl.find_opt w.tbl v with
-  | Some l' when l' = l -> ()
-  | Some _ -> (
-      if not (Hashtbl.mem w.merged v) then
-        match merge with
-        | Some (cube, pvar)
-          when (not (S.primary s (kind_of ~cube) l)) && S.precedes s pvar v ->
-            Hashtbl.replace w.merged v ()
-        | _ -> raise Fallback (* tautological resolvent *))
-  | None ->
-      if bad (S.lit_value s l) then raise Fallback;
-      Hashtbl.replace w.tbl v l;
-      w.members <- l :: w.members
+  if s.S.an_work.(S.neg l) = w.epoch then begin
+    if not (is_merged s w v) then
+      match merge with
+      | Some (cube, pvar)
+        when (not (S.primary s (kind_of ~cube) l)) && S.precedes s pvar v ->
+          s.S.an_merged.(v) <- w.epoch
+      | _ -> raise Fallback (* tautological resolvent *)
+  end
+  else if s.S.an_work.(l) <> w.epoch then begin
+    if bad (S.lit_value s l) then raise Fallback;
+    s.S.an_work.(l) <- w.epoch;
+    w.members <- l :: w.members
+  end
 
-let work_remove w l =
-  Hashtbl.remove w.tbl (S.var l);
-  Hashtbl.remove w.merged (S.var l);
-  w.members <- List.filter (fun m -> m <> l) w.members
+(* Keep the members satisfying [keep], in order; unstamp the others. *)
+let work_filter s w keep =
+  w.members <-
+    List.filter
+      (fun l ->
+        let k = keep l in
+        if not k then begin
+          s.S.an_work.(l) <- 0;
+          s.S.an_merged.(S.var l) <- 0
+        end;
+        k)
+      w.members
 
 (* Resolve [rid] into the working set: add every literal but the pivot's.
    A learned constraint may itself carry a merged pair (both polarities
@@ -153,56 +170,55 @@ let work_remove w l =
    their soundness). *)
 let add_antecedent s w ~bad ~cube ~pvar rid =
   let db = s.S.db in
-  let lits = Db.lits_list db rid in
-  let seen = Hashtbl.create 8 in
-  let pair = Hashtbl.create 2 in
-  List.iter
-    (fun m ->
-      let v = S.var m in
-      if Hashtbl.mem seen v then Hashtbl.replace pair v ()
-      else Hashtbl.replace seen v ())
-    lits;
-  List.iter
-    (fun m ->
+  let e = fresh_epoch s in
+  Db.iter_lits db rid (fun m -> s.S.an_seen.(m) <- e);
+  let merge = Some (cube, pvar) in
+  Db.iter_lits db rid (fun m ->
       let v = S.var m in
       if v <> pvar then
-        if Hashtbl.mem pair v then begin
-          if not (Hashtbl.mem w.tbl v) then begin
-            Hashtbl.replace w.tbl v m;
+        if s.S.an_seen.(S.neg m) = e then begin
+          if s.S.an_work.(m) <> w.epoch && s.S.an_work.(S.neg m) <> w.epoch
+          then begin
+            s.S.an_work.(m) <- w.epoch;
             w.members <- m :: w.members
           end;
-          Hashtbl.replace w.merged v ()
+          s.S.an_merged.(v) <- w.epoch
         end
-        else work_add s w ~bad ~merge:(cube, pvar) m)
-    lits
-
-let deepest s lits =
-  List.fold_left
-    (fun best l ->
-      match best with
-      | None -> Some l
-      | Some b ->
-          if s.S.pos.(S.var l) > s.S.pos.(S.var b) then Some l else Some b)
-    None lits
+        else work_add s w ~bad ?merge m)
 
 (* Universal reduction of the working clause (Lemma 3), existential
    reduction of the working cube: drop the non-primary literals that
    precede no primary of the set.  Removing such a literal never unblocks
-   another, so one pass reaches the fixpoint. *)
+   another, so one pass reaches the fixpoint.  d/f stamp blocks, so a
+   variable precedes a primary iff its block is a strict ancestor of the
+   primary's: stamp the primaries' ancestor blocks, keep what they hit. *)
 let reduce_work s w ~cube =
   let kind = kind_of ~cube in
-  let keep l =
-    S.primary s kind l
-    || List.exists
-         (fun p -> S.primary s kind p && S.precedes s (S.var l) (S.var p))
-         w.members
+  let e = fresh_epoch s in
+  let rec mark b =
+    if b >= 0 && s.S.an_block.(b) <> e then begin
+      s.S.an_block.(b) <- e;
+      mark s.S.block_parent.(b)
+    end
   in
-  let removed = List.filter (fun l -> not (keep l)) w.members in
-  List.iter (work_remove w) removed
+  List.iter
+    (fun l ->
+      if S.primary s kind l then mark s.S.block_parent.(s.S.block_of.(S.var l)))
+    w.members;
+  work_filter s w (fun l ->
+      S.primary s kind l || s.S.an_block.(s.S.block_of.(S.var l)) = e)
 
-(* Deepest primary of the working set: the next pivot. *)
+(* Deepest primary of the working set: the next pivot (the earlier
+   member wins a tie). *)
 let deepest_primary s w ~cube =
-  deepest s (List.filter (S.primary s (kind_of ~cube)) w.members)
+  let kind = kind_of ~cube in
+  List.fold_left
+    (fun best l ->
+      match best with
+      | _ when not (S.primary s kind l) -> best
+      | Some b when s.S.pos.(S.var l) <= s.S.pos.(S.var b) -> best
+      | _ -> Some l)
+    None w.members
 
 (* A *trailing* literal — a non-primary one that does not ≺-precede the
    pivot — can never block the learned constraint from asserting its
@@ -211,17 +227,16 @@ let deepest_primary s w ~cube =
    asserting-stop test and to the backjump level, exactly as if
    reduction had already removed them at the propagation site.  Merged
    variables are excluded here and judged separately by [merged_ok]. *)
-let blocks_assert s w ~cube pivot l =
-  let v = S.var l in
-  (not (Hashtbl.mem w.merged v))
-  && (S.primary s (kind_of ~cube) l || S.precedes s v (S.var pivot))
-
 let max_level_of_others s w ~cube pivot =
+  let kind = kind_of ~cube in
   List.fold_left
     (fun acc l ->
-      if l = pivot || not (blocks_assert s w ~cube pivot l) then acc
-      else if S.is_assigned s (S.var l) then max acc s.S.vlevel.(S.var l)
-      else acc)
+      let v = S.var l in
+      if
+        l = pivot || is_merged s w v || (not (S.is_assigned s v))
+        || not (S.primary s kind l || S.precedes s v (S.var pivot))
+      then acc
+      else max acc s.S.vlevel.(v))
     0 w.members
 
 (* A merged pair may survive into the learned constraint only when it
@@ -231,20 +246,20 @@ let max_level_of_others s w ~cube pivot =
    come unassigned at the backjump — one satisfied polarity would park
    the stored constraint as trivially fixed and lose the assertion. *)
 let merged_ok s w ~beta pivot =
-  Hashtbl.fold
-    (fun v () ok ->
-      ok
-      && (not (S.precedes s v (S.var pivot)))
-      && ((not (S.is_assigned s v)) || s.S.vlevel.(v) > beta))
-    w.merged true
+  List.for_all
+    (fun l ->
+      let v = S.var l in
+      (not (is_merged s w v))
+      || (not (S.precedes s v (S.var pivot)))
+         && ((not (S.is_assigned s v)) || s.S.vlevel.(v) > beta))
+    w.members
 
 (* Merged variables are emitted with both polarities: the recorded
    resolvent (and the stored constraint) carries the pair. *)
-let sorted_lits w =
+let sorted_lits s w =
   List.sort_uniq Int.compare
     (List.concat_map
-       (fun l ->
-         if Hashtbl.mem w.merged (S.var l) then [ l; S.neg l ] else [ l ])
+       (fun l -> if is_merged s w (S.var l) then [ l; S.neg l ] else [ l ])
        w.members)
 
 (* ---------- proof emission --------------------------------------------- *)
@@ -292,7 +307,7 @@ let conclude s p ~cube ~first ~rev_chain w =
     | Some e -> (
         match s.S.reason.(S.var e) with
         | Reason rid when Db.is_cube db rid = cube ->
-            work_remove w e;
+            work_filter s w (fun m -> m <> e);
             add_antecedent s w ~bad ~cube ~pvar:(S.var e) rid;
             drain ((S.var e, rid) :: chain) (n + 1)
         | Reason _ | Decision | Flipped | Pure -> raise Fallback)
@@ -309,10 +324,10 @@ let conclude s p ~cube ~first ~rev_chain w =
 (* Clause resolution for a conflict, term resolution for a solution,
    from a seeded working set [w] whose first constraint has proof id
    [first].  Reduce, then stop if the deepest primary [e] is asserting —
-   no other literal that could block it sits at [e]'s level, no
-   unassigned literal precedes it, its merged pairs are admissible —
-   else resolve [e] away with its reason.  An empty set of primaries, or
-   a pivot at level 0, concludes the formula. *)
+   no other literal that could block it sits at [e]'s level ([beta <
+   lvl]), no unassigned literal precedes it, its merged pairs are
+   admissible — else resolve [e] away with its reason.  An empty set of
+   primaries, or a pivot at level 0, concludes the formula. *)
 let derive s ~cube ~first ~max_frame w =
   let db = s.S.db in
   let kind = kind_of ~cube in
@@ -338,15 +353,7 @@ let derive s ~cube ~first ~max_frame w =
         let lvl = s.S.vlevel.(S.var e) in
         if lvl = 0 then concluded ()
         else
-          let ok_levels =
-            List.for_all
-              (fun l ->
-                l = e
-                || (not (blocks_assert s w ~cube e l))
-                || (not (S.is_assigned s (S.var l)))
-                || s.S.vlevel.(S.var l) < lvl)
-              w.members
-          and ok_scope =
+          let ok_scope =
             List.for_all
               (fun l ->
                 S.is_assigned s (S.var l)
@@ -354,8 +361,8 @@ let derive s ~cube ~first ~max_frame w =
               w.members
           in
           let beta = max_level_of_others s w ~cube e in
-          if ok_levels && ok_scope && merged_ok s w ~beta e then begin
-            let lits = Array.of_list (sorted_lits w) in
+          if beta < lvl && ok_scope && merged_ok s w ~beta e then begin
+            let lits = Array.of_list (sorted_lits s w) in
             let lbd = lbd_of s lits in
             let from_level = S.current_level s in
             (* backtrack *before* adding: the constraint computes its
@@ -390,7 +397,7 @@ let derive s ~cube ~first ~max_frame w =
                   max_frame := Db.frame db rid;
                 Db.bump db rid;
                 if tracing then pchain := (S.var e, rid) :: !pchain;
-                work_remove w e;
+                work_filter s w (fun m -> m <> e);
                 add_antecedent s w ~bad ~cube ~pvar:(S.var e) rid;
                 loop (n + 1)
             | Reason _ | Decision | Flipped | Pure -> raise Fallback
@@ -403,7 +410,7 @@ let derive s ~cube ~first ~max_frame w =
    is popped. *)
 let analyze_conflict s cid0 =
   let db = s.S.db in
-  let w = work_create () in
+  let w = work_create s in
   Db.iter_lits db cid0 (work_add s w ~bad:(S.settles Clause_c));
   Db.bump db cid0;
   derive s ~cube:false ~first:(Db.pid db cid0) ~max_frame:(Db.frame db cid0) w
@@ -435,10 +442,12 @@ exception Cover_stuck
 let cover_with s w ~virtual_flips =
   let db = s.S.db in
   let bad = S.settles Cube_c in
-  let chosen = Hashtbl.create 64 in
-  (* var -> literal of S *)
+  let e = fresh_epoch s in
+  let chosen = s.S.an_cover in
+  let picked = ref [] in
   let choose m =
-    Hashtbl.replace chosen (S.var m) m;
+    chosen.(m) <- e;
+    picked := m :: !picked;
     if not s.S.drop_ok.(S.var m) then work_add s w ~bad m
   in
   (* Candidate ranks, smaller is better; only free variables compete:
@@ -449,73 +458,63 @@ let cover_with s w ~virtual_flips =
      2 — positive reducible literal, true or unassigned;
      3 — true non-reducible existential;
      4 — virtually flipped positive auxiliary;
-     5 — true universal (earliest assigned first). *)
+     5 — true universal (earliest assigned first);
+     max_int — cannot cover. *)
   let rank m =
     let v = S.var m in
     let value = S.lit_value s m in
     if s.S.drop_ok.(v) then
       if m land 1 = 1 (* negative literal *) then
-        if value <> 0 then Some 1
-        else if virtual_flips && s.S.is_aux.(v) then Some 1
-        else None
-      else if value <> 0 then Some 2
-      else if virtual_flips && s.S.is_aux.(v) then Some 4
-      else None
-    else if value = 1 then Some (if s.S.is_exist.(v) then 3 else 5)
-    else None
+        if value <> 0 || (virtual_flips && s.S.is_aux.(v)) then 1 else max_int
+      else if value <> 0 then 2
+      else if virtual_flips && s.S.is_aux.(v) then 4
+      else max_int
+    else if value = 1 then if s.S.is_exist.(v) then 3 else 5
+    else max_int
   in
-  (* Clauses are processed newest-first: CNF conversion emits gate
-     definitions before the clauses that use the gates, so reverse order
-     sees each disjunction before its gates' definitions and picks the
-     structurally cheap cover.  (Arena compaction is stable, so this
-     order survives DB reduction and session retraction.) *)
-  for cid = Db.size db - 1 downto 0 do
-    if
-      (not (Db.learned db cid))
-      && (not (Db.is_cube db cid))
-      && Db.active db cid
+  (* Original clauses are processed newest-first, through the arena's
+     index of them: CNF conversion emits gate definitions before the
+     clauses that use the gates, so reverse order sees each disjunction
+     before its gates' definitions and picks the structurally cheap
+     cover.  (Compaction filters the index stably, so this order survives
+     DB reduction and session retraction.) *)
+  for k = Db.num_originals db - 1 downto 0 do
+    let cid = Db.original db k in
+    if Db.active db cid && not (Db.exists_lit db cid (fun m -> chosen.(m) = e))
     then begin
-      let already =
-        Db.exists_lit db cid (fun m ->
-            Hashtbl.find_opt chosen (S.var m) = Some m)
-      in
-      if not already then begin
-        let free v = not (Hashtbl.mem chosen v) in
-        let best = ref (-1) and best_rank = ref max_int in
-        Db.iter_lits db cid (fun m ->
-            if free (S.var m) then
-              match rank m with
-              | Some r ->
-                  if
-                    r < !best_rank
-                    || (r = !best_rank && r = 5
-                       && s.S.pos.(S.var m) < s.S.pos.(S.var !best))
-                  then begin
-                    best := m;
-                    best_rank := r
-                  end
-              | None -> ());
-        if !best < 0 then raise Cover_stuck;
-        choose !best
-      end
+      (* nothing here is chosen: [m] is free iff [neg m] is not *)
+      let best = ref (-1) and best_rank = ref max_int in
+      Db.iter_lits db cid (fun m ->
+          if chosen.(S.neg m) <> e then
+            let r = rank m in
+            if
+              r < !best_rank
+              || (r = !best_rank && r = 5
+                 && s.S.pos.(S.var m) < s.S.pos.(S.var !best))
+            then begin
+              best := m;
+              best_rank := r
+            end);
+      if !best < 0 then raise Cover_stuck;
+      choose !best
     end
   done;
   (* Full chosen set, including reducible/virtual literals that never
      enter the working cube: the trace's axiom term records all of it,
      and the checker's own existential reduction brings it back to the
      working cube. *)
-  Hashtbl.fold (fun _ m acc -> m :: acc) chosen []
+  !picked
 
 let cover_cube s w =
   try cover_with s w ~virtual_flips:true with
   | Cover_stuck ->
-      Hashtbl.reset w.tbl;
+      w.epoch <- fresh_epoch s;
       w.members <- [];
       cover_with s w ~virtual_flips:false
 
 let analyze_solution s source =
   let db = s.S.db in
-  let w = work_create () in
+  let w = work_create s in
   (* A cover good entails the whole current matrix, so it depends on the
      current frame; a cube source carries its recorded frame. *)
   let max_frame =

@@ -4,7 +4,9 @@
    to back; [start]/[len] give each id its slice.  The rest of the
    metadata is parallel arrays indexed by id.  Booleans are bit-packed
    into [flags] so the hot discovery paths (active? parked? learned?)
-   read one int.
+   read one int.  [orig] lists the original clauses' ids in arena order,
+   so the solution cover walks them without visiting the learned
+   constraints stacked above.
 
    Compared to the previous per-constraint records this keeps the
    linear scans of propagation completeness checks, solution covering
@@ -36,6 +38,8 @@ type t = {
          compaction, so proof traces never reference a relocated id *)
   mutable activity : float array;
   mutable n : int;
+  mutable orig : int array; (* original clause ids, ascending *)
+  mutable norig : int;
   (* activity bump increment; grows at every decay, everything rescales
      when a bump overflows *)
   mutable act_inc : float;
@@ -64,6 +68,8 @@ let create () =
     pid = Array.make 64 0;
     activity = Array.make 64 0.;
     n = 0;
+    orig = Array.make 64 0;
+    norig = 0;
     act_inc = 1.0;
   }
 
@@ -130,6 +136,12 @@ let add db ~kind ~learned ~frame lits =
   db.lbd.(cid) <- 0;
   db.pid.(cid) <- 0;
   db.activity.(cid) <- 0.;
+  if kind = ST.Clause_c && not learned then begin
+    if db.norig >= Array.length db.orig then
+      db.orig <- grow_int db.orig (db.norig + 1) 0;
+    db.orig.(db.norig) <- cid;
+    db.norig <- db.norig + 1
+  end;
   cid
 
 (* ------------------------------------------------------------------ *)
@@ -189,6 +201,8 @@ let set_parked db cid v =
   else db.flags.(cid) <- db.flags.(cid) land lnot f_parked
 
 let deactivate db cid = db.flags.(cid) <- db.flags.(cid) land lnot f_active
+let num_originals db = db.norig
+let original db k = db.orig.(k)
 
 (* ------------------------------------------------------------------ *)
 (* Activity *)
@@ -250,4 +264,14 @@ let compact db =
   done;
   db.n <- !j;
   db.lits_len <- !lw;
+  (* stable filter: the index keeps arena order *)
+  let k = ref 0 in
+  for i = 0 to db.norig - 1 do
+    let nid = reloc.(db.orig.(i)) in
+    if nid >= 0 then begin
+      db.orig.(!k) <- nid;
+      incr k
+    end
+  done;
+  db.norig <- !k;
   reloc

@@ -6,9 +6,10 @@
    flags, session frame, propagation counters, watch slots, discovery
    marks, activity, LBD) sits in parallel arrays indexed by constraint
    id.  Ids are dense arena handles: iteration over the database is a
-   linear scan of [0 .. size - 1], and ids stay in insertion order —
-   solution analysis relies on newest-first scans meaning
-   latest-learned-first.
+   linear scan of [0 .. size - 1], and ids stay in insertion order.
+   Beside the arena an index lists the ids of the original clauses in
+   that same order ([original]); solution analysis walks it newest-first
+   to cover the matrix, so it never visits a learned constraint.
 
    This interface is the only path to constraint storage.  No other
    module sees a constraint record; everything goes through these
@@ -89,6 +90,15 @@ val set_parked : t -> int -> bool -> unit
    the next [compact]. *)
 val deactivate : t -> int -> unit
 
+(* -- original-clause index ----------------------------------------- *)
+
+(* Ids of the original clauses ([add] with [kind = Clause_c] and
+   [learned = false]) in arena order: [original db k] for [k] in
+   [0 .. num_originals db - 1] is ascending.  Deactivated ones stay
+   listed until the next [compact], which filters the index stably. *)
+val num_originals : t -> int
+val original : t -> int -> int
+
 val activity : t -> int -> float
 
 (* Additive bump with the current increment; rescales the whole column
@@ -114,8 +124,8 @@ val set_pid : t -> int -> int -> unit
 (* -- compaction ---------------------------------------------------- *)
 
 (* Drop every deactivated constraint, slide survivors left (stable, so
-   insertion order — and with it newest-first iteration — survives),
-   and return the relocation map: [reloc.(old_id)] is the new id, or
-   -1 if the constraint was dropped.  O(database).  After [compact]
-   every id held outside this module is stale until mapped. *)
+   insertion order survives, in the arena and in the original-clause
+   index), and return the relocation map: [reloc.(old_id)] is the new
+   id, or -1 if the constraint was dropped.  O(database).  After
+   [compact] every id held outside this module is stale until mapped. *)
 val compact : t -> int array

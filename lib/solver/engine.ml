@@ -115,10 +115,8 @@ let reduce_db s =
           let c = compare (Db.activity db a) (Db.activity db b) in
           if c <> 0 then c else compare a b)
       arr;
-    let o = s.S.obs in
     for i = 0 to drop - 1 do
-      S.deactivate_constraint s arr.(i);
-      if o.Obs.metrics_on then Metrics.on_delete o.Obs.metrics
+      S.deactivate_constraint s arr.(i)
     done;
     ignore (S.compact_db s)
   end

@@ -29,7 +29,13 @@
    constraints — the unbounded part of the database — are maintained
    lazily with two watched literals: they are absent from the occurrence
    lists, so [unassign] never touches them and [assign] visits only the
-   watch lists of the literal being falsified (truthified for cubes). *)
+   watch lists of the literal being falsified (truthified for cubes).
+
+   The scratch tables of conflict and solution analysis ([an_*]) live
+   here too, preallocated per literal, variable, level or block and
+   grown by {!extend}, so that no analysis step allocates a table.  Each
+   is epoch-stamped: an entry is set iff it equals the epoch its user
+   drew from [an_epoch], so emptying a table is drawing a fresh epoch. *)
 
 open Qbf_core
 open Solver_types
@@ -131,6 +137,14 @@ type t = {
   mutable proof : Proof.t option;
       (* attached trace writer (see {!attach_proof}); None = no proof,
          and every emission site is one option match *)
+  mutable an_epoch : int; (* last epoch drawn by Analyze; stamps are <= *)
+  mutable an_work : int array; (* per literal: in the working set *)
+  mutable an_merged : int array; (* per var: a merged pair of it *)
+  mutable an_cover : int array; (* per literal: chosen by the cover *)
+  mutable an_seen : int array; (* per literal: in the antecedent added *)
+  mutable an_level : int array; (* per decision level: counted by LBD *)
+  mutable an_block : int array;
+      (* per block: strict ancestor of a primary's block *)
 }
 
 (* [precedes s v v'] is the paper's z ≺ z' test, eq. (13). *)
@@ -754,6 +768,13 @@ let create formula config =
       frame_level = 0;
       retracted_constraints = 0;
       proof = None;
+      an_epoch = 0;
+      an_work = Array.make (2 * n) 0;
+      an_merged = Array.make n 0;
+      an_cover = Array.make (2 * n) 0;
+      an_seen = Array.make (2 * n) 0;
+      an_level = Array.make (n + 1) 0;
+      an_block = Array.make nblocks 0;
     }
   in
   List.iter
@@ -837,8 +858,8 @@ let retract_constraint s cid =
 (* Reclaim every deactivated slot: compact the arena and patch every
    structure that holds constraint ids — occurrence lists, watch lists,
    assigned reasons, discovery queues.  Ids move but insertion order is
-   preserved, so newest-first scans in Analyze keep meaning
-   latest-learned-first.
+   preserved, in the arena and in its original-clause index, so the
+   cover in Analyze keeps visiting the matrix in the same order.
 
    Caller contract: no deactivated constraint may be the reason of an
    assigned variable (DB reduction keeps locked constraints; session
@@ -996,6 +1017,11 @@ let extend s prefix =
   s.counter <- grow_array s.counter (2 * n) 0;
   s.act <- grow_array s.act (2 * n) 0.;
   s.last_counter <- grow_array s.last_counter (2 * n) 0;
+  s.an_work <- grow_array s.an_work (2 * n) 0;
+  s.an_merged <- grow_array s.an_merged n 0;
+  s.an_cover <- grow_array s.an_cover (2 * n) 0;
+  s.an_seen <- grow_array s.an_seen (2 * n) 0;
+  s.an_level <- grow_array s.an_level (n + 1) 0;
   if Array.length s.occ < 2 * n then begin
     let old = s.occ in
     s.occ <-
@@ -1015,6 +1041,7 @@ let extend s prefix =
     s.po_block_best <- Array.make nblocks 0.;
     s.po_child_max <- Array.make nblocks 0.
   end;
+  s.an_block <- grow_array s.an_block nblocks 0;
   (* An extension renumbers the DFS timestamps: re-declare every
      variable so the checker's ≺ relation tracks the grown prefix. *)
   match s.proof with
@@ -1035,13 +1062,9 @@ let attach_proof s p =
   for v = 0 to s.nvars - 1 do
     Proof.declare_var p ~var:v ~exist:s.is_exist.(v) ~d:s.d.(v) ~f:s.f.(v)
   done;
-  for cid = 0 to Db.size s.db - 1 do
-    if
-      Db.active s.db cid
-      && (not (Db.learned s.db cid))
-      && (not (Db.is_cube s.db cid))
-      && Db.pid s.db cid = 0
-    then begin
+  for k = 0 to Db.num_originals s.db - 1 do
+    let cid = Db.original s.db k in
+    if Db.active s.db cid && Db.pid s.db cid = 0 then begin
       let pid = Proof.fresh_pid p in
       Db.set_pid s.db cid pid;
       Proof.input_clause p ~pid (Db.lits_list s.db cid)

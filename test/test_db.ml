@@ -1,6 +1,7 @@
 (* Learned-DB lifecycle: arena compaction with relocation-map patching
-   of watches, reasons and discovery queues; quality-based reduction
-   that never drops locked constraints; phase saving; and the
+   of watches, reasons and discovery queues; the original-clause index
+   through compaction, frame retraction and growth; quality-based
+   reduction that never drops locked constraints; phase saving; and the
    reduction-on/off differential over the model families. *)
 
 open Qbf_core
@@ -8,6 +9,7 @@ module ST = Qbf_solver.Solver_types
 module S = Qbf_solver.State
 module Db = Qbf_solver.Constraint_db
 module Engine = Qbf_solver.Engine
+module Session = Qbf_solver.Session
 
 let ( => ) b v = Alcotest.check Util.outcome b (Util.solver_outcome_of_bool v)
 
@@ -173,6 +175,79 @@ let test_reduce_mid_search propagation () =
   Alcotest.(check bool) "reduction actually dropped constraints" true
     (!dropped_total > 0)
 
+(* --- the original-clause index ------------------------------------------ *)
+
+(* The index must list exactly the arena's original clauses, in arena
+   order: the solution cover walks it newest-first, so a dropped, extra
+   or reordered entry changes the goods.  Checked after a mid-search
+   reduction (reasons assigned, queues live), around a session frame
+   whose clause lands above learned constraints, and after prefix
+   growth followed by a reduction that slides originals and learned
+   constraints past each other. *)
+let test_original_index propagation () =
+  let check what s =
+    let db = s.S.db in
+    let expected =
+      List.filter
+        (fun cid -> (not (Db.learned db cid)) && not (Db.is_cube db cid))
+        (List.init (Db.size db) Fun.id)
+    in
+    Alcotest.(check (list int))
+      what expected
+      (List.init (Db.num_originals db) (Db.original db))
+  in
+  let fpv () =
+    Qbf_gen.Fpv.generate (Qbf_gen.Rng.create 9104)
+      { Qbf_gen.Fpv.core = 4; branches = 2; env = 3; cls = 2; lpc = 3 }
+  in
+  let config =
+    ST.(
+      default_config |> with_propagation propagation |> with_debug_checks true
+      |> with_db_keep_fraction 0.0)
+  in
+  (* mid-search reduction *)
+  let decisions = ref 0 in
+  let s =
+    S.create (fpv ())
+      ST.(
+        config
+        |> with_should_stop (Some (fun () -> !decisions >= 20))
+        |> with_stop_interval 1
+        |> with_on_event
+             (Some
+                (function
+                | ST.E_decide _ | ST.E_flip _ -> incr decisions | _ -> ())))
+  in
+  Alcotest.check Util.outcome "suspended" ST.Unknown
+    (Engine.solve_state s).ST.outcome;
+  let before = Db.size s.S.db in
+  Engine.reduce_db_for_testing s;
+  Alcotest.(check bool) "reduction dropped constraints" true
+    (Db.size s.S.db < before);
+  check "after mid-search reduction" s;
+  (* a frame whose clause lands above the learned constraints *)
+  let t = Session.of_formula ~validate:true ~config (fpv ()) in
+  let s = Session.state_for_testing t in
+  ignore (Session.solve t);
+  Session.push t;
+  Session.add_clause t [ Lit.of_var 0; Lit.negate (Lit.of_var 1) ];
+  ignore (Session.solve t);
+  let db = s.S.db in
+  Alcotest.(check bool) "the frame's clause sits above learned ones" true
+    (Db.original db (Db.num_originals db - 1) >= Db.num_originals db);
+  check "after push and add" s;
+  Session.pop t;
+  check "after pop" s;
+  (* growth, then a reduction compacting across the grown matrix *)
+  let _, v = Session.extend_prefix t Quant.Exists 2 in
+  Session.add_clause t [ Lit.of_var v; Lit.negate (Lit.of_var (v + 1)) ];
+  Session.add_clause t [ Lit.of_var (v + 1); Lit.of_var 0 ];
+  ignore (Session.solve t);
+  check "after growth" s;
+  Engine.reduce_db_for_testing s;
+  check "after growth and reduction" s;
+  Session.dispose t
+
 (* --- phase saving ------------------------------------------------------- *)
 
 let test_phase_saving_deterministic () =
@@ -236,6 +311,10 @@ let suite =
       (test_reduce_mid_search ST.Watched);
     Alcotest.test_case "reduce mid-search (counters)" `Quick
       (test_reduce_mid_search ST.Counters);
+    Alcotest.test_case "original-clause index (watched)" `Quick
+      (test_original_index ST.Watched);
+    Alcotest.test_case "original-clause index (counters)" `Quick
+      (test_original_index ST.Counters);
     Alcotest.test_case "phase saving deterministic" `Quick
       test_phase_saving_deterministic;
     Alcotest.test_case "reduction on/off agree on families" `Quick

@@ -168,14 +168,22 @@ let formulas () =
       Qbf_gen.Randqbf.prenex rng ~nvars:16 ~levels:3 ~nclauses:48 ~len:3 ())
     [ 11; 22; 33; 44 ]
 
-let observed_solve ?(restarts = false) f =
+(* The FPV instances of test_db's mid-search generator: they learn
+   enough for a reduction interval of 4 to delete constraints. *)
+let reducing_formulas () =
+  List.init 6 (fun i ->
+      let rng = Qbf_gen.Rng.create (9100 + i) in
+      Qbf_gen.Fpv.generate rng
+        { core = 4; branches = 2 + (i mod 2); env = 3; cls = 2; lpc = 3 })
+
+let observed_solve ?(restarts = false) ?(reduce = Fun.id) f =
   let metrics = Metrics.create () in
   let trace = Trace.create ~capacity:(1 lsl 16) () in
   let obs = Obs.make ~metrics ~trace () in
   let config =
     ST.(
       default_config |> with_learning true |> with_restarts restarts
-      |> with_db_reduction restarts |> with_obs (Some obs))
+      |> with_db_reduction restarts |> reduce |> with_obs (Some obs))
   in
   let r = Qbf_solver.Engine.solve ~config f in
   (r.ST.stats, Metrics.snapshot metrics, Trace.to_list trace)
@@ -206,7 +214,24 @@ let test_metrics_invariants () =
       Alcotest.(check int) "restarts" stats.ST.restarts_done (c "restarts");
       Alcotest.(check int) "deletes" stats.ST.deleted_constraints
         (c "deleted_constraints"))
-    (formulas ())
+    (formulas ());
+  (* with reduction on, each deletion counts once in both *)
+  let deleted =
+    List.fold_left
+      (fun acc f ->
+        let stats, s, _ =
+          observed_solve ~restarts:true
+            ~reduce:ST.(fun c ->
+              c |> with_db_reduce_interval 4 |> with_db_keep_fraction 0.25)
+            f
+        in
+        Alcotest.(check int) "deletes under reduction"
+          stats.ST.deleted_constraints
+          (counter s "deleted_constraints");
+        acc + stats.ST.deleted_constraints)
+      0 (reducing_formulas ())
+  in
+  Alcotest.(check bool) "reduction deleted constraints" true (deleted > 0)
 
 let test_trace_matches_stats () =
   List.iter

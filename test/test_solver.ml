@@ -122,11 +122,12 @@ let test_budget () =
 (* Exact search statistics on a fixed set of instances.  The other tests
    compare answers (or two engines with each other), so a change that
    moves the search path — a decision, a propagation, a learned
-   constraint — without changing an answer would pass unnoticed.  The set: the diameter iterations of
-   counter3, gray2 and semaphore3 (PO on eq. (14), TO on its ∃↑∀↑
-   prenexing, incremental sessions, stats summed over the bounds) under
-   both propagation engines, and one FPV instance solved with a proof
-   trace attached.  A change meant to alter the search must update these
+   constraint — without changing an answer would pass unnoticed.  The
+   set: the diameter iterations of counter3, gray2 and semaphore3 (PO on
+   eq. (14), TO on its ∃↑∀↑ prenexing, incremental sessions, stats summed
+   over the bounds) under both propagation engines, one FPV instance
+   solved with a proof trace attached, and one solved under aggressive
+   DB reduction.  A change meant to alter the search must update these
    figures and say why. *)
 let stats_line (st : ST.stats) =
   Printf.sprintf
@@ -188,6 +189,24 @@ let fpv_proof_stats propagation =
   Sys.remove path;
   stats_line r.ST.stats
 
+(* An aggressive reduction schedule (restarts are on too, but none is
+   due in so short a run): the one pinned run that compacts the arena
+   mid-search, with reasons assigned and discovery queues live
+   (sessions compact only between solves). *)
+let fpv_reduce_stats propagation =
+  let rng = Qbf_gen.Rng.create 9104 in
+  let f =
+    Qbf_gen.Fpv.generate rng
+      { core = 4; branches = 2; env = 3; cls = 2; lpc = 3 }
+  in
+  let config =
+    ST.(
+      default_config |> with_propagation propagation |> with_restarts true
+      |> with_db_reduction true |> with_db_reduce_interval 4
+      |> with_db_keep_fraction 0.25)
+  in
+  stats_line (Qbf_solver.Engine.solve ~config f).ST.stats
+
 let pinned_search_path =
   [
     ( "counter3 PO watched",
@@ -211,6 +230,9 @@ let pinned_search_path =
     ( "fpv proof watched",
       "dec=11 prop=29 pure=0 confl=4 sol=3 lc=3 lu=3 bj=6 fb=0 \
        maxlvl=9 rst=0 del=0" );
+    ( "fpv reduce watched",
+      "dec=106 prop=448 pure=2 confl=3 sol=100 lc=3 lu=99 bj=102 fb=0 \
+       maxlvl=8 rst=0 del=66" );
     ( "counter3 PO counters",
       "dec=2222 prop=30250 pure=22187 confl=40 sol=559 lc=39 lu=551 bj=590 fb=1 \
        maxlvl=22 rst=0 del=0" );
@@ -232,6 +254,9 @@ let pinned_search_path =
     ( "fpv proof counters",
       "dec=11 prop=29 pure=0 confl=4 sol=3 lc=3 lu=3 bj=6 fb=0 \
        maxlvl=9 rst=0 del=0" );
+    ( "fpv reduce counters",
+      "dec=106 prop=447 pure=2 confl=3 sol=100 lc=3 lu=99 bj=102 fb=0 \
+       maxlvl=8 rst=0 del=66" );
   ]
 
 let test_search_path () =
@@ -248,7 +273,10 @@ let test_search_path () =
                 dia_stats name D.Prenex engine );
             ])
           [ "counter3"; "gray2"; "semaphore3" ]
-        @ [ (Printf.sprintf "fpv proof %s" ename, fpv_proof_stats engine) ])
+        @ [
+            (Printf.sprintf "fpv proof %s" ename, fpv_proof_stats engine);
+            (Printf.sprintf "fpv reduce %s" ename, fpv_reduce_stats engine);
+          ])
       [ ("watched", ST.Watched); ("counters", ST.Counters) ]
   in
   List.iter2
