@@ -18,7 +18,7 @@ module Obs = Qbf_obs.Obs
 module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
 
-let run model_name style propagation max_n timeout bfs verbose profile_on
+let run model_name style max_n timeout bfs verbose profile_on
     incremental =
   (* Bad input exits 2 with a diagnostic — part of the documented
      exit-code contract, and raw exceptions must never escape to the
@@ -64,15 +64,6 @@ let run model_name style propagation max_n timeout bfs verbose profile_on
       |> with_heuristic
            (if style = Qbf_models.Diameter.Nonprenex then Partial_order
             else Total_order)
-      |> with_propagation
-           (match propagation with
-           | "watched" -> Watched
-           | "counters" -> Counters
-           | other ->
-               Printf.eprintf
-                 "unknown propagation engine %S (use watched or counters)\n"
-                 other;
-               exit 2)
       |> with_should_stop
            (Some (fun () -> Qbf_run.Limits.Deadline.expired deadline))
       |> with_stop_flag (Some (Qbf_run.Limits.Interrupt.flag interrupt))
@@ -137,12 +128,12 @@ let cmd =
     Term.(
       const run
       $ (required & pos 0 (some string) None & Arg.info [] ~docv:"MODEL")
-      $ (value & opt string "po" & Arg.info [ "style" ] ~docv:"MODE")
-      $ (value & opt string "watched"
-         & Arg.info [ "propagation" ] ~docv:"ENGINE"
+      $ (value & opt string "po"
+         & Arg.info [ "style" ] ~docv:"MODE"
              ~doc:
-               "Propagation engine: $(b,watched) (default) or \
-                $(b,counters).")
+               "$(b,po): the non-prenex phi_n of eq. (14) under \
+                partial-order branching, QuBE(PO); $(b,to): its prenex \
+                form, eq. (16), under total-order branching, QuBE(TO).")
       $ (value & opt int 40 & Arg.info [ "max-n" ] ~docv:"N")
       $ (value & opt float 60. & Arg.info [ "timeout" ] ~docv:"S")
       $ (value & flag & Arg.info [ "bfs" ] ~doc:"Cross-check with explicit BFS.")

@@ -113,7 +113,7 @@ let print_report_comments (r : Run.report) =
   | None -> ());
   Printf.printf "c %s\n" (Format.asprintf "%a" ST.pp_stats r.Run.stats)
 
-let run file heuristic propagation no_learning no_pure restarts
+let run file heuristic no_learning no_pure restarts
     db_reduce_interval db_keep no_phase_saving prenex_to
     miniscope preprocess max_nodes timeout mem_limit use_portfolio json_status
     stats trace_file trace_every profile_on telemetry_file proof_file =
@@ -199,15 +199,6 @@ let run file heuristic propagation no_learning no_pure restarts
            | "po" -> Partial_order
            | other ->
                Printf.eprintf "unknown heuristic %S (use po or to)\n" other;
-               exit 2)
-      |> with_propagation
-           (match propagation with
-           | "watched" -> Watched
-           | "counters" -> Counters
-           | other ->
-               Printf.eprintf
-                 "unknown propagation engine %S (use watched or counters)\n"
-                 other;
                exit 2)
       |> with_learning (not no_learning)
       |> with_pure_literals (not no_pure)
@@ -406,14 +397,6 @@ let heuristic_arg =
         ~doc:"Branching mode: $(b,po) (partial-order, the paper's \
               QuBE(PO)) or $(b,to) (total-order, QuBE(TO)).")
 
-let propagation_arg =
-  Arg.(value & opt string "watched"
-    & info [ "propagation" ] ~docv:"ENGINE"
-        ~doc:"Propagation engine: $(b,watched) (lazy two-watched-literal \
-              tracking of learned constraints, the default) or \
-              $(b,counters) (eager per-assignment counters on every \
-              constraint, the reference engine).")
-
 let no_learning_arg =
   Arg.(value & flag & info [ "no-learning" ] ~doc:"Disable good/nogood learning.")
 
@@ -541,7 +524,7 @@ let cmd =
                                 or memory cap reached";
          Cmd.Exit.info 2 ~doc:"unreadable or malformed input" ])
     Term.(
-      const run $ file_arg $ heuristic_arg $ propagation_arg
+      const run $ file_arg $ heuristic_arg
       $ no_learning_arg $ no_pure_arg
       $ restarts_arg $ db_reduce_interval_arg $ db_keep_arg
       $ no_phase_saving_arg $ prenex_arg $ miniscope_arg $ preprocess_arg

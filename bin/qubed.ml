@@ -250,8 +250,10 @@ let race_arg =
     & info [ "race" ] ~docv:"LABELS"
         ~doc:"Comma-separated portfolio configurations raced per \
               attempt; first conclusive answer wins and the losers are \
-              cancelled.  Available: po-watched, to-watched, \
-              po-counters, to-counters.")
+              cancelled.  Available: $(b,po-watched) (partial-order \
+              branching, QuBE(PO)) and $(b,to-watched) (total-order \
+              branching, QuBE(TO), with restarts and learned-database \
+              reduction).")
 
 let retries_arg =
   Arg.(value & opt int 6

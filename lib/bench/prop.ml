@@ -1,28 +1,25 @@
-(* Watched-literal vs counter propagation on the DIA workload: the
-   evidence artifact behind [config.propagation] (ISSUE 5).
+(* Propagation throughput on the DIA workload: the evidence artifact
+   behind the propagation scheme (original clauses on eager counters,
+   learned constraints on two watched literals; see State).
 
-   One record per model: the same PO incremental phi_0..phi_d iteration
-   runs once per engine — they must agree on the diameter — with an
-   observability collector capturing the propagation count and the
-   wall time spent inside the propagate phase.
+   One record per model: the PO incremental phi_0..phi_d iteration,
+   with an observability collector capturing the propagation count and
+   the wall time spent inside the propagate and backtrack phases.
 
    Two throughput numbers per run:
 
-   - wall props/sec: propagations over the whole iteration's wall time.
-     With learning on the engines take different trajectories (the
-     propagation *order* differs, so reasons and learned constraints
-     differ), which blurs this number in either direction.
+   - wall props/sec: propagations over the whole iteration's wall time,
+     which also moves with the search path and the analysis cost.
 
    - engine props/sec: propagations over the wall time spent inside
      the propagate and backtrack spans only.  Every propagation is
      assigned once (propagate) and unassigned at most once
-     (backtrack), and both walks are exactly the bookkeeping the two
-     engines implement differently — the counter engine updates every
-     occurrence list on both sides, the watched engine touches two
-     watches going down and repairs the parked registry coming back
-     up.  This isolates the data-structure cost per propagation from
-     trajectory luck and from analysis/heuristic time, so it is the
-     headline metric. *)
+     (backtrack), and both walks are exactly the propagation
+     bookkeeping: the originals' occurrence lists both ways, two
+     watches per learned constraint going down and the parked registry
+     coming back up.  This isolates the data-structure cost per
+     propagation from analysis/heuristic time, so it is the headline
+     metric. *)
 
 module ST = Qbf_solver.Solver_types
 module D = Qbf_models.Diameter
@@ -32,7 +29,8 @@ module Profile = Qbf_obs.Profile
 module Json = Qbf_obs.Json
 module Limits = Qbf_run.Limits
 
-type engine_run = {
+type result = {
+  model : string;
   report : D.report;
   time_s : float; (* wall seconds over the whole iteration *)
   propagations : int;
@@ -42,35 +40,19 @@ type engine_run = {
   learned : int; (* learned clauses + cubes over the whole iteration *)
 }
 
-type result = {
-  model : string;
-  watched : engine_run;
-  counters : engine_run;
-}
-
 let wall_props_per_sec r =
   float_of_int r.propagations /. Float.max 1e-6 r.time_s
 
 let engine_props_per_sec r =
   float_of_int r.propagations /. Float.max 1e-6 (r.propagate_s +. r.backtrack_s)
 
-(* watched-over-counters on the engine metric; > 1 means watching wins *)
-let speedup r = engine_props_per_sec r.watched /. engine_props_per_sec r.counters
-let wall_speedup r = wall_props_per_sec r.watched /. wall_props_per_sec r.counters
-
-let agree r =
-  r.watched.report.D.diameter = r.counters.report.D.diameter
-  || r.watched.report.D.diameter = None
-  || r.counters.report.D.diameter = None
-
-let run_engine ~timeout_s ~max_n ~propagation model =
+let run ?(timeout_s = 60.) ?(max_n = 64) model =
   let deadline = Limits.Deadline.after timeout_s in
   let obs = Obs.make ~metrics:(Metrics.create ()) ~profile:(Profile.create ()) () in
   let config =
     ST.(
       default_config
       |> with_heuristic Partial_order
-      |> with_propagation propagation
       |> with_obs (Some obs)
       |> with_should_stop
            (Some (fun () -> Limits.Deadline.expired deadline))
@@ -91,6 +73,7 @@ let run_engine ~timeout_s ~max_n ~propagation model =
       (Profile.snapshot obs.Obs.profile)
   in
   {
+    model = Qbf_models.Model.name model;
     report;
     time_s;
     propagations = counter "propagations";
@@ -98,13 +81,6 @@ let run_engine ~timeout_s ~max_n ~propagation model =
     backtrack_s = phase_wall "backtrack";
     decisions = counter "decisions";
     learned = counter "learned_clauses" + counter "learned_cubes";
-  }
-
-let run ?(timeout_s = 60.) ?(max_n = 64) model =
-  {
-    model = Qbf_models.Model.name model;
-    watched = run_engine ~timeout_s ~max_n ~propagation:ST.Watched model;
-    counters = run_engine ~timeout_s ~max_n ~propagation:ST.Counters model;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -173,11 +149,14 @@ let run_db ?(timeout_s = 60.) ?(max_n = 64) model =
 (* ------------------------------------------------------------------ *)
 (* BENCH_prop.json *)
 
-let schema_version = 2
+let schema_version = 3
 
-let json_of_engine (r : engine_run) =
+(* One flat row per model, so that bench_diff's per-row gates compare
+   the throughput and time fields directly. *)
+let json_of_result r =
   Json.Obj
     [
+      ("model", Json.String r.model);
       ( "diameter",
         match r.report.D.diameter with
         | Some d -> Json.Int d
@@ -197,17 +176,6 @@ let json_of_engine (r : engine_run) =
       ("learned", Json.Int r.learned);
       ("wall_props_per_sec", Json.Float (wall_props_per_sec r));
       ("engine_props_per_sec", Json.Float (engine_props_per_sec r));
-    ]
-
-let json_of_result r =
-  Json.Obj
-    [
-      ("model", Json.String r.model);
-      ("watched", json_of_engine r.watched);
-      ("counters", json_of_engine r.counters);
-      ("engine_speedup", Json.Float (speedup r));
-      ("wall_speedup", Json.Float (wall_speedup r));
-      ("agree", Json.Bool (agree r));
     ]
 
 let json_of_db_run (r : db_run) =
@@ -233,8 +201,8 @@ let json_of_db_result r =
     ]
 
 (* Write BENCH_prop.json under [dir] (created if missing).  [db] is the
-   reduction on/off series; the main watched-vs-counters rows stay under
-   "results" so bench_diff keeps gating them across schema bumps. *)
+   reduction on/off series; the throughput rows stay under "results",
+   the list bench_diff gates. *)
 let write_json ~dir ?(db = []) results =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let file = Filename.concat dir "BENCH_prop.json" in
@@ -259,8 +227,8 @@ let write_json ~dir ?(db = []) results =
 
 let header =
   [
-    "model"; "d"; "watch (s)"; "count (s)"; "learned";
-    "props/s W"; "props/s C"; "speedup";
+    "model"; "d"; "time (s)"; "decisions"; "learned"; "props/s";
+    "engine props/s";
   ]
 
 let fmt_rate v =
@@ -270,15 +238,14 @@ let fmt_rate v =
 let row_cells r =
   [
     r.model;
-    (match r.watched.report.D.diameter with
+    (match r.report.D.diameter with
     | Some d -> string_of_int d
-    | None -> Printf.sprintf ">=%d" r.watched.report.D.lower_bound);
-    Printf.sprintf "%.3f" r.watched.time_s;
-    Printf.sprintf "%.3f" r.counters.time_s;
-    string_of_int r.watched.learned;
-    fmt_rate (engine_props_per_sec r.watched);
-    fmt_rate (engine_props_per_sec r.counters);
-    Printf.sprintf "%.2fx" (speedup r);
+    | None -> Printf.sprintf ">=%d" r.report.D.lower_bound);
+    Printf.sprintf "%.3f" r.time_s;
+    string_of_int r.decisions;
+    string_of_int r.learned;
+    fmt_rate (wall_props_per_sec r);
+    fmt_rate (engine_props_per_sec r);
   ]
 
 let db_header =

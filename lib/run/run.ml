@@ -125,7 +125,6 @@ let effective_config (limits : Limits.t) interrupt deadline config =
   ST.with_budgets
     (fun b ->
       {
-        b with
         ST.should_stop;
         stop_flag;
         stop_interval = max 1 limits.Limits.poll_interval;

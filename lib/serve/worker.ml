@@ -26,35 +26,25 @@ module Limits = Qbf_run.Limits
 (* ------------------------------------------------------------------ *)
 (* Portfolio configurations, by wire label                             *)
 
-(* The racing members pair the paper's branching orders with the two
-   propagation engines — the complementary-strength variants the
-   quantifier-structure study motivates.  [to-*] rungs get restarts and
-   DB reduction (they profit from them; PO's tree scores already
-   diversify). *)
+(* The racing members are the paper's two branching orders, QuBE(PO)
+   and QuBE(TO) — the complementary-strength variants the
+   quantifier-structure study motivates.  [to-watched] also gets
+   restarts and DB reduction (TO profits from them; PO's tree scores
+   already diversify).  The labels keep the "-watched" suffix from
+   when a second propagation engine could be raced: it is the wire
+   name qubed's default [--race] and stored policies use. *)
 let config_of_label label =
   let base = ST.default_config in
   match label with
-  | "po-watched" ->
-      Some
-        ST.(
-          base |> with_heuristic Partial_order |> with_propagation Watched)
-  | "po-counters" ->
-      Some
-        ST.(
-          base |> with_heuristic Partial_order |> with_propagation Counters)
+  | "po-watched" -> Some ST.(base |> with_heuristic Partial_order)
   | "to-watched" ->
       Some
         ST.(
-          base |> with_heuristic Total_order |> with_propagation Watched
-          |> with_restarts true |> with_db_reduction true)
-  | "to-counters" ->
-      Some
-        ST.(
-          base |> with_heuristic Total_order |> with_propagation Counters
-          |> with_restarts true |> with_db_reduction true)
+          base |> with_heuristic Total_order |> with_restarts true
+          |> with_db_reduction true)
   | _ -> None
 
-let known_labels = [ "po-watched"; "to-watched"; "po-counters"; "to-counters" ]
+let known_labels = [ "po-watched"; "to-watched" ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

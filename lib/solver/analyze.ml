@@ -365,9 +365,8 @@ let derive s ~cube ~first ~max_frame w =
             let lits = Array.of_list (sorted_lits s w) in
             let lbd = lbd_of s lits in
             let from_level = S.current_level s in
-            (* backtrack *before* adding: the constraint computes its
-               counters — or, under the watched engine, picks its watches
-               and announces its asserting unit — against the
+            (* backtrack *before* adding: the constraint picks its
+               watches and announces its asserting unit against the
                post-backjump assignment *)
             S.backtrack s beta;
             let cid =

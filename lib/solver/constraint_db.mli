@@ -52,7 +52,7 @@ val exists_lit : t -> int -> (int -> bool) -> bool
 val lits_list : t -> int -> int list
 val copy_lits : t -> int -> int array
 
-(* -- propagation counters (counter-maintained constraints) --------- *)
+(* -- propagation counters (original clauses) ---------------------- *)
 
 (* Unassigned primary literals: existential for a clause, universal for
    a cube (see State). *)
@@ -67,7 +67,7 @@ val set_counters : t -> int -> opens:int -> fixed:int -> unit
 val add_open : t -> int -> int -> unit
 val add_fixed : t -> int -> int -> unit
 
-(* -- watched literals (Watched engine) ----------------------------- *)
+(* -- watched literals (learned constraints) ----------------------- *)
 
 val w1 : t -> int -> int
 val w2 : t -> int -> int

@@ -21,9 +21,6 @@ let leaves s = s.S.stats.conflicts + s.S.stats.solutions
 let budget_exhausted s =
   let b = s.S.config.budgets in
   (match b.stop_flag with Some r -> !r | None -> false)
-  || (match b.max_decisions with
-     | Some m -> s.S.stats.decisions >= m
-     | None -> false)
   || (match b.max_nodes with Some m -> leaves s >= m | None -> false)
   || (match b.should_stop with
      | None -> false

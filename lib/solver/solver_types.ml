@@ -4,13 +4,14 @@ type kind =
   | Clause_c (* disjunction: element of the matrix or learned nogood *)
   | Cube_c (* conjunction: learned good *)
 
-(* How constraint state is discovered during search (see State):
-   [Counters] maintains eager per-constraint counters on every
-   assign/unassign; [Watched] keeps the counters for original
-   constraints (purity needs them) but tracks learned constraints with
-   two watched literals, making backtrack O(1) per literal on the
-   learned database. *)
-type prop_engine = Counters | Watched
+(* The solver has one propagation scheme (see State): original clauses
+   keep eager counters, which purity needs, and learned constraints are
+   tracked by two watched literals.  [prop_engine] and
+   {!with_propagation} survive only so that callers written when a
+   second, all-counters scheme existed still compile; the benchmark
+   sources under e2e_bench/ select [Watched] and are kept unchanged so
+   that their runs stay comparable across commits. *)
+type prop_engine = Watched
 
 type antecedent =
   | Decision (* branching choice, first branch *)
@@ -134,7 +135,6 @@ type search = {
   learning : bool; (* nogood + good learning with backjumping *)
   pure_literals : bool;
   heuristic : heuristic_mode;
-  propagation : prop_engine;
   debug_checks : bool;
       (* assert propagation completeness at every fixpoint: no active
          constraint may be undetectedly conflicting, unit, or (for
@@ -162,7 +162,6 @@ type search = {
 }
 
 type budgets = {
-  max_decisions : int option;
   max_nodes : int option; (* bound on conflicts + solutions *)
   should_stop : (unit -> bool) option; (* external budget, e.g. wall clock *)
   stop_flag : bool ref option;
@@ -205,7 +204,6 @@ let default_search =
     learning = true;
     pure_literals = true;
     heuristic = Partial_order;
-    propagation = Watched;
     debug_checks = false;
     restarts = false;
     restart_base = 128;
@@ -217,7 +215,6 @@ let default_search =
 
 let default_budgets =
   {
-    max_decisions = None;
     max_nodes = None;
     should_stop = None;
     stop_flag = None;
@@ -245,7 +242,7 @@ let with_hints f c = { c with hints = f c.hints }
 let with_learning v = with_search (fun s -> { s with learning = v })
 let with_pure_literals v = with_search (fun s -> { s with pure_literals = v })
 let with_heuristic v = with_search (fun s -> { s with heuristic = v })
-let with_propagation v = with_search (fun s -> { s with propagation = v })
+let with_propagation (_ : prop_engine) c = c
 let with_debug_checks v = with_search (fun s -> { s with debug_checks = v })
 
 let with_restarts v = with_search (fun s -> { s with restarts = v })
@@ -259,7 +256,6 @@ let with_db_reduce_interval v =
 let with_db_keep_fraction v =
   with_search (fun s -> { s with db_keep_fraction = v })
 
-let with_max_decisions v = with_budgets (fun b -> { b with max_decisions = v })
 let with_max_nodes v = with_budgets (fun b -> { b with max_nodes = v })
 let with_should_stop v = with_budgets (fun b -> { b with should_stop = v })
 let with_stop_flag v = with_budgets (fun b -> { b with stop_flag = v })

@@ -1,5 +1,6 @@
 (* Mutable search state: assignment trail, constraint database with
-   eager occurrence counters, purity counters, branching availability.
+   eager counters on the original clauses and watched literals on the
+   learned constraints, purity counters, branching availability.
 
    Literals are raw ints (see {!Qbf_core.Lit}); [2*v] is the positive
    literal of variable [v].
@@ -23,13 +24,13 @@
    [unit_q]; the propagation loop re-verifies every entry (they may be
    stale after backtracking, which clears the queues).
 
-   Under [config.search.propagation = Watched] the counter scheme above
-   is kept for *original* constraints only (purity needs exact
-   [pos_unsat] and [unsat_originals] transitions) while learned
-   constraints — the unbounded part of the database — are maintained
-   lazily with two watched literals: they are absent from the occurrence
-   lists, so [unassign] never touches them and [assign] visits only the
-   watch lists of the literal being falsified (truthified for cubes).
+   The counter scheme above maintains the *original* clauses only
+   (purity needs exact [pos_unsat] and [unsat_originals] transitions).
+   Learned constraints — the unbounded part of the database — are
+   maintained lazily with two watched literals: they are absent from
+   the occurrence lists, so [unassign] never touches them and [assign]
+   visits only the watch lists of the literal being falsified
+   (truthified for cubes).
 
    The scratch tables of conflict and solution analysis ([an_*]) live
    here too, preallocated per literal, variable, level or block and
@@ -62,10 +63,7 @@ type t = {
   stats : stats;
   db : Db.t; (* all constraints, originals and learned *)
   mutable occ : int Vec.t array;
-      (* per literal: ids of counter-maintained constraints containing it
-         (all constraints under [Counters]; originals only under
-         [Watched]) *)
-  use_watches : bool; (* config.search.propagation = Watched, cached *)
+      (* per literal: ids of the original clauses containing it *)
   mutable watch_cl : int Vec.t array;
       (* per literal: watch-maintained clauses watching it, visited when
          the literal becomes false *)
@@ -202,34 +200,31 @@ let announce s kind cid opens =
 (* --- purity bookkeeping ------------------------------------------------ *)
 
 (* [pos_unsat] counts *original* clauses only: pure literals are
-   computed on the matrix (as in QuBE), which is also what lets the
-   watched engine keep learned constraints out of the counters. *)
+   computed on the matrix (as in QuBE), which is also what lets learned
+   constraints stay out of the counters.  Only original clauses reach
+   these two, through the occurrence lists. *)
 
 let clause_now_satisfied s cid =
   (* fixed went 0 -> 1: the clause leaves the "unsatisfied" pool. *)
-  if not (Db.learned s.db cid) then begin
-    s.unsat_originals <- s.unsat_originals - 1;
-    Db.iter_lits s.db cid (fun m ->
-        s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
-        if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
-          Vec.push s.pure_q m)
-  end
+  s.unsat_originals <- s.unsat_originals - 1;
+  Db.iter_lits s.db cid (fun m ->
+      s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
+      if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
+        Vec.push s.pure_q m)
 
 let clause_now_unsatisfied s cid =
   (* fixed went 1 -> 0 on backtrack. *)
-  if not (Db.learned s.db cid) then begin
-    s.unsat_originals <- s.unsat_originals + 1;
-    Db.iter_lits s.db cid (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1)
-  end
+  s.unsat_originals <- s.unsat_originals + 1;
+  Db.iter_lits s.db cid (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1)
 
 (* --- constraint touch on assignment ------------------------------------ *)
 
 (* [opens] is read only once [fixed] is known to be 0: the check runs
-   on every touch of a counter-maintained constraint. *)
+   on every touch of an original clause. *)
 let check_state s kind cid =
   if Db.fixed s.db cid = 0 then announce s kind cid (Db.opens s.db cid)
 
-(* --- watched literals (learned constraints under Watched) --------------- *)
+(* --- watched literals (learned constraints) ------------------------------ *)
 
 (* Each watch-maintained constraint watches two distinct *structurally
    compatible* literals: for a clause both existential, or a universal
@@ -244,8 +239,7 @@ let check_state s kind cid =
    are candidates that propagation re-verifies, exactly as in the
    counter scheme: a missed wake-up costs propagations, never
    correctness (learned constraints are Q-consequences, so ignoring one
-   only loses pruning; original-constraint discovery is eager in both
-   engines). *)
+   only loses pruning; original-clause discovery is eager). *)
 
 let watch_list s kind m =
   match kind with Clause_c -> s.watch_cl.(m) | Cube_c -> s.watch_cu.(m)
@@ -501,10 +495,8 @@ let assign s l ante =
   s.block_unassigned.(b) <- s.block_unassigned.(b) - 1;
   Vec.iter (fun cid -> touch_assign s cid l 1) s.occ.(l);
   Vec.iter (fun cid -> touch_assign s cid (neg l) 0) s.occ.(neg l);
-  if s.use_watches then begin
-    visit_watchers s Clause_c (neg l);
-    visit_watchers s Cube_c l
-  end
+  visit_watchers s Clause_c (neg l);
+  visit_watchers s Cube_c l
 
 let unassign s l =
   let v = var l in
@@ -534,8 +526,8 @@ let clear_queues s =
    literal is undone, a queued announcement lost to [clear_queues].
    Constraints that regain a compatible eligible pair leave the
    registry; the rest are re-announced on the fresh wave and stay
-   parked.  (The counter engine gets the same effect from its eager
-   occ-list walks in [unassign].) *)
+   parked.  (Original clauses get the same effect from the eager
+   occurrence-list walks in [unassign].) *)
 let repair_parked s =
   let i = ref 0 in
   while !i < Vec.length s.parked_q do
@@ -561,8 +553,8 @@ let backtrack s level =
   assert (level >= 0 && level <= current_level s);
   if level < current_level s then begin
     (* the backtrack span isolates the unassign bookkeeping — the
-       counter engine's occ-list walks vs the watched engine's parked
-       repair — from the analysis it nests inside *)
+       originals' occurrence-list walks and the parked repair of the
+       learned constraints — from the analysis it nests inside *)
     let o = s.obs in
     if o.Obs.profile_on then Profile.enter o.Obs.profile Profile.Backtrack;
     event s (E_backtrack level);
@@ -573,7 +565,7 @@ let backtrack s level =
     Vec.shrink s.trail_lim level;
     Vec.shrink s.dec_flipped level;
     clear_queues s;
-    if s.use_watches then repair_parked s;
+    repair_parked s;
     if o.Obs.profile_on then Profile.leave o.Obs.profile Profile.Backtrack
   end
 
@@ -597,9 +589,10 @@ let new_decision s l ~flipped =
 (* --- constraint creation ----------------------------------------------- *)
 
 (* Add a constraint over literal array [lits] (sorted, no duplicate
-   variables), computing its counters against the current assignment and
-   flagging it on the discovery queues if it is already unit, conflicting
-   or satisfied-as-a-cube.  Returns its id.  [frame] defaults to the
+   variables): an original clause gets its counters against the current
+   assignment, a learned constraint its watches, and either is flagged
+   on the discovery queues if it is already unit, conflicting or
+   satisfied-as-a-cube.  Returns its id.  [frame] defaults to the
    current session frame; Analyze passes the maximum antecedent frame of
    a learned constraint's derivation, and [lbd] the quantified
    LBD analog it computed at learning time. *)
@@ -615,28 +608,25 @@ let add_constraint s kind ~learned ?frame ?(lbd = 0) lits =
       Db.set_pid s.db cid pid;
       Proof.input_clause p ~pid (Array.to_list lits)
   | _ -> ());
-  let watch_only = s.use_watches && learned in
-  let opens = ref 0 and fixed = ref 0 in
-  Array.iter
-    (fun m ->
-      s.counter.(m) <- s.counter.(m) + 1;
-      if not watch_only then begin
+  Array.iter (fun m -> s.counter.(m) <- s.counter.(m) + 1) lits;
+  if learned then init_watches s cid
+  else begin
+    let opens = ref 0 and fixed = ref 0 in
+    Array.iter
+      (fun m ->
         Vec.push s.occ.(m) cid;
         match lit_value s m with
         | -1 -> if primary s kind m then incr opens
-        | v -> if settles kind v then incr fixed
-      end)
-    lits;
-  if watch_only then init_watches s cid
-  else begin
+        | v -> if settles kind v then incr fixed)
+      lits;
     Db.set_counters s.db cid ~opens:!opens ~fixed:!fixed;
-    if kind = Clause_c && !fixed = 0 && not learned then begin
+    if kind = Clause_c && !fixed = 0 then begin
       s.unsat_originals <- s.unsat_originals + 1;
       Array.iter (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1) lits
     end;
-    check_state s kind cid
+    check_state s kind cid;
+    s.num_original <- s.num_original + 1
   end;
-  if not learned then s.num_original <- s.num_original + 1;
   cid
 
 (* --- availability (top variables of the residual QBF) ------------------ *)
@@ -728,7 +718,6 @@ let create formula config =
       stats = empty_stats ();
       db = Db.create ();
       occ = Array.init (2 * n) (fun _ -> Vec.create (-1));
-      use_watches = config.search.propagation = Watched;
       watch_cl = Array.init (2 * n) (fun _ -> Vec.create (-1));
       watch_cu = Array.init (2 * n) (fun _ -> Vec.create (-1));
       qepoch = 1;
@@ -928,7 +917,7 @@ let clear_trail s =
   (* with an empty assignment almost every parked constraint regains an
      eligible pair, so the registry drains here instead of carrying
      stale entries across session mutations *)
-  if s.use_watches then repair_parked s
+  repair_parked s
 
 (* Retract every active constraint whose frame exceeds [frame]: the
    originals of popped frames and every learned constraint whose

@@ -80,10 +80,10 @@ let test_arena_compact () =
    - every reason survived and was re-pointed through the relocation
      map at a constraint with the same literals (locked are never
      dropped, ids are patched);
-   - the watch invariants hold on the compacted arena (Watched runs);
+   - the watch invariants hold on the compacted arena;
    - resuming the search concludes with the oracle's answer, i.e. the
      discovery queues survived the compaction too. *)
-let test_reduce_mid_search propagation () =
+let test_reduce_mid_search () =
   let dropped_total = ref 0 in
   let resumed = ref 0 in
   for seed = 0 to 11 do
@@ -107,7 +107,6 @@ let test_reduce_mid_search propagation () =
     let config =
       ST.(
         default_config
-        |> with_propagation propagation
         |> with_debug_checks true
         |> with_db_keep_fraction 0.0
         |> with_should_stop (Some (fun () -> !stop_now))
@@ -158,10 +157,9 @@ let test_reduce_mid_search propagation () =
           | ST.Decision | ST.Flipped | ST.Pure ->
               Alcotest.failf "seed %d: reason of %d vanished" seed v)
         !snapshot;
-      if propagation = ST.Watched then
-        Test_prop.check_watch_invariants
-          (Printf.sprintf "after reduce, seed %d" seed)
-          s;
+      Test_prop.check_watch_invariants
+        (Printf.sprintf "after reduce, seed %d" seed)
+        s;
       stop_now := false;
       incr resumed;
       Alcotest.check Util.outcome
@@ -184,7 +182,7 @@ let test_reduce_mid_search propagation () =
    whose clause lands above learned constraints, and after prefix
    growth followed by a reduction that slides originals and learned
    constraints past each other. *)
-let test_original_index propagation () =
+let test_original_index () =
   let check what s =
     let db = s.S.db in
     let expected =
@@ -202,8 +200,7 @@ let test_original_index propagation () =
   in
   let config =
     ST.(
-      default_config |> with_propagation propagation |> with_debug_checks true
-      |> with_db_keep_fraction 0.0)
+      default_config |> with_debug_checks true |> with_db_keep_fraction 0.0)
   in
   (* mid-search reduction *)
   let decisions = ref 0 in
@@ -308,13 +305,9 @@ let suite =
   [
     Alcotest.test_case "arena compaction" `Quick test_arena_compact;
     Alcotest.test_case "reduce mid-search (watched)" `Quick
-      (test_reduce_mid_search ST.Watched);
-    Alcotest.test_case "reduce mid-search (counters)" `Quick
-      (test_reduce_mid_search ST.Counters);
+      test_reduce_mid_search;
     Alcotest.test_case "original-clause index (watched)" `Quick
-      (test_original_index ST.Watched);
-    Alcotest.test_case "original-clause index (counters)" `Quick
-      (test_original_index ST.Counters);
+      test_original_index;
     Alcotest.test_case "phase saving deterministic" `Quick
       test_phase_saving_deterministic;
     Alcotest.test_case "reduction on/off agree on families" `Quick

@@ -35,15 +35,6 @@ let test_qdimacs_free_vars () =
   Alcotest.(check bool) "free exists" true (Prefix.is_exists p 0);
   Alcotest.(check bool) "free outer" true (Prefix.precedes p 0 1)
 
-let test_nqdimacs_example () =
-  let f = Util.paper_formula_1 () in
-  let text = Qbf_io.Nqdimacs.to_string f in
-  let f' = Qbf_io.Nqdimacs.parse_string text in
-  Alcotest.(check int) "nvars" (Formula.nvars f) (Formula.nvars f');
-  Alcotest.(check int) "nclauses" (Formula.num_clauses f)
-    (Formula.num_clauses f');
-  Alcotest.(check bool) "same value" (Eval.eval f) (Eval.eval f')
-
 let same_formula f f' =
   Formula.nvars f = Formula.nvars f'
   && List.equal Clause.equal
@@ -60,6 +51,22 @@ let same_formula f f' =
     done
   done;
   !ok
+
+let test_nqdimacs_example () =
+  let f = Util.paper_formula_1 () in
+  let text = Qbf_io.Nqdimacs.to_string f in
+  let f' = Qbf_io.Nqdimacs.parse_string text in
+  Alcotest.(check int) "nvars" (Formula.nvars f) (Formula.nvars f');
+  Alcotest.(check int) "nclauses" (Formula.num_clauses f)
+    (Formula.num_clauses f');
+  Alcotest.(check bool) "same value" (Eval.eval f) (Eval.eval f');
+  (* a diameter QBF: a quantifier tree with auxiliary gate variables,
+     too large for the naive evaluator *)
+  let g = Qbf_models.Diameter.phi (Qbf_models.Families.counter ~bits:2) ~n:1 in
+  let g' = Qbf_io.Nqdimacs.parse_string (Qbf_io.Nqdimacs.to_string g) in
+  Alcotest.(check bool) "counter2 phi_1 same formula" true (same_formula g g');
+  let solve f = (Qbf_solver.Engine.solve f).Qbf_solver.Solver_types.outcome in
+  Alcotest.check Util.outcome "counter2 phi_1 same value" (solve g) (solve g')
 
 let make_tree_formula (seed, nvars, nclauses) =
   let rng = Qbf_gen.Rng.create seed in

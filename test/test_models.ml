@@ -187,18 +187,29 @@ let test_phi_truth_pattern () =
       done)
     models
 
+(* The rebuilt iteration as qdiameter runs it: QuBE(PO) on eq. (14)
+   and QuBE(TO) on its prenexing, eq. (16). *)
 let test_diameter_compute () =
+  let to_config =
+    Qbf_solver.Solver_types.(default_config |> with_heuristic Total_order)
+  in
   List.iter
     (fun m ->
-      Alcotest.(check (option int))
-        (Qbf_models.Model.name m)
-        (Some (Qbf_models.Reach.diameter m))
-        (Qbf_models.Diameter.compute m))
+      let d = Some (Qbf_models.Reach.diameter m) in
+      let name = Qbf_models.Model.name m in
+      Alcotest.(check (option int)) (name ^ " po") d
+        (Qbf_models.Diameter.compute m);
+      Alcotest.(check (option int)) (name ^ " to") d
+        (Qbf_models.Diameter.compute ~style:Qbf_models.Diameter.Prenex
+           ~config:to_config m))
     [
       Qbf_models.Families.counter ~bits:2;
       Qbf_models.Families.counter ~bits:3;
+      Qbf_models.Families.ring ~gates:3;
       Qbf_models.Families.ring ~gates:4;
       Qbf_models.Families.semaphore ~procs:2;
+      Qbf_models.Families.semaphore ~procs:3;
+      Qbf_models.Families.dme ~cells:2;
       Qbf_models.Families.dme ~cells:3;
       Qbf_models.Families.gray ~bits:3;
       Qbf_models.Families.shift ~bits:4;
@@ -247,7 +258,9 @@ let test_incremental_matches_rebuild () =
       Qbf_models.Families.semaphore ~procs:2;
       Qbf_models.Families.dme ~cells:3;
       Qbf_models.Families.gray ~bits:3;
+      Qbf_models.Families.shift ~bits:3;
       Qbf_models.Families.shift ~bits:4;
+      Qbf_models.Families.shift ~bits:5;
     ]
 
 (* Inconclusive iterations report how far they got: a small max_n gives

@@ -1,9 +1,9 @@
 (* Certificates end to end: engine-emitted qproof traces must pass the
-   independent checker (both propagation engines, DB reduction on and
-   off, incremental push/pop, fuzz seeds concluding through level-0
-   pivots), and hand-mutated traces — dropped antecedent, wrong pivot,
-   forged empty clause, dangling constraint id, truncated file — must be
-   rejected with a diagnostic. *)
+   independent checker (DB reduction on and off, incremental push/pop,
+   fuzz seeds concluding through level-0 pivots), and hand-mutated
+   traces — dropped antecedent, wrong pivot, forged empty clause,
+   dangling constraint id, truncated file — must be rejected with a
+   diagnostic. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -16,8 +16,6 @@ let with_reduction config =
     config |> with_restarts true |> with_restart_base 2
     |> with_db_reduction true |> with_db_reduce_interval 4
     |> with_db_keep_fraction 0.25)
-
-let engines = [ ("watched", ST.Watched); ("counters", ST.Counters) ]
 
 (* Solve under [config] with a trace attached; the outcome must match
    [expected], the result must carry a [Proof_trace] witness, and the
@@ -50,50 +48,39 @@ let solve_and_check name ?(config = ST.default_config) f expected =
   text
 
 let test_fpv_accept () =
-  List.iter
-    (fun (ename, propagation) ->
-      for seed = 0 to 2 do
-        let rng = Qbf_gen.Rng.create (100 + seed) in
-        let f =
-          Qbf_gen.Fpv.generate rng
-            { core = 3; branches = 3; env = 2; cls = 4; lpc = 3 }
-        in
-        let config = ST.(default_config |> with_propagation propagation) in
-        ignore
-          (solve_and_check
-             (Printf.sprintf "fpv %d %s" seed ename)
-             ~config f (Eval.eval f))
-      done)
-    engines
+  for seed = 0 to 2 do
+    let rng = Qbf_gen.Rng.create (100 + seed) in
+    let f =
+      Qbf_gen.Fpv.generate rng
+        { core = 3; branches = 3; env = 2; cls = 4; lpc = 3 }
+    in
+    ignore (solve_and_check (Printf.sprintf "fpv %d" seed) f (Eval.eval f))
+  done
 
 (* gray / counter families at the BFS-oracle diameter d: phi_{d-1} is
-   true, phi_d false — both engines, reduction off and on (aggressive
-   enough that several reduce-and-compact cycles fire, so antecedent
-   pids must survive compaction). *)
+   true, phi_d false — reduction off and on (aggressive enough that
+   several reduce-and-compact cycles fire, so antecedent pids must
+   survive compaction). *)
 let test_families_accept () =
   List.iter
     (fun (mname, m) ->
       let d = Qbf_models.Reach.diameter m in
       List.iter
-        (fun (ename, propagation) ->
-          List.iter
-            (fun (rname, reduce) ->
-              let config =
-                ST.(default_config |> with_propagation propagation)
-              in
-              let config = if reduce then with_reduction config else config in
-              let run n expected =
-                ignore
-                  (solve_and_check
-                     (Printf.sprintf "%s phi_%d %s %s" mname n ename rname)
-                     ~config
-                     (Qbf_models.Diameter.phi m ~n)
-                     expected)
-              in
-              run (d - 1) true;
-              run d false)
-            [ ("plain", false); ("reduce", true) ])
-        engines)
+        (fun (rname, config) ->
+          let run n expected =
+            ignore
+              (solve_and_check
+                 (Printf.sprintf "%s phi_%d %s" mname n rname)
+                 ~config
+                 (Qbf_models.Diameter.phi m ~n)
+                 expected)
+          in
+          run (d - 1) true;
+          run d false)
+        [
+          ("plain", ST.default_config);
+          ("reduce", with_reduction ST.default_config);
+        ])
     [
       ("gray2", Qbf_models.Families.gray ~bits:2);
       ("counter2", Qbf_models.Families.counter ~bits:2);
@@ -389,8 +376,8 @@ let test_reject_truncated () =
 
 let suite =
   [
-    Alcotest.test_case "fpv certificates, both engines" `Quick test_fpv_accept;
-    Alcotest.test_case "family certificates, engines x reduction" `Slow
+    Alcotest.test_case "fpv certificates" `Quick test_fpv_accept;
+    Alcotest.test_case "family certificates, reduction off and on" `Slow
       test_families_accept;
     Alcotest.test_case "incremental session certificate" `Quick
       test_incremental_accept;

@@ -1,7 +1,6 @@
-(* Propagation engines: watched-literal invariants across session
-   mutations, fixpoint-completeness assertions, and the
-   watched = counters = BFS-oracle differential over the model
-   families. *)
+(* Propagation: watched-literal invariants across session mutations
+   and fixpoint-completeness assertions.  Diameters against the BFS
+   oracle are checked in test_models. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -148,61 +147,28 @@ let test_watch_invariants_across_session () =
     Session.dispose t
   done
 
-(* Both engines, with [debug_checks] asserting at every fixpoint that no
-   active constraint is an undetected conflict / unit / solution.  Any
-   lost watched wake-up dies here with an exception. *)
+(* [debug_checks] asserts at every fixpoint that no active constraint
+   is an undetected conflict / unit / solution.  Any lost watched
+   wake-up dies here with an exception. *)
 let test_fixpoint_completeness () =
-  List.iter
-    (fun propagation ->
-      for seed = 0 to 99 do
-        let rng = Qbf_gen.Rng.create (8000 + seed) in
-        let nvars = 4 + Qbf_gen.Rng.int rng 10 in
-        let f =
-          if seed mod 2 = 0 then
-            Qbf_gen.Randqbf.tree rng ~nvars
-              ~nclauses:(6 + Qbf_gen.Rng.int rng 20)
-              ~len:3 ()
-          else
-            Qbf_gen.Randqbf.prenex rng ~nvars
-              ~levels:(1 + (seed mod 4))
-              ~nclauses:(6 + Qbf_gen.Rng.int rng 20)
-              ~len:3 ~min_exists:1 ()
-        in
-        let config =
-          ST.(
-            default_config |> with_propagation propagation
-            |> with_debug_checks true)
-        in
-        ("fixpoint-complete " ^ string_of_int seed => Eval.eval f)
-          (Qbf_solver.Engine.solve ~config f).ST.outcome
-      done)
-    [ ST.Watched; ST.Counters ]
-
-(* Watched and counters agree with each other and with the explicit-state
-   BFS oracle on the diameter of small model families, through the full
-   incremental phi_0..phi_d iteration (learning, carried constraints,
-   prefix growth). *)
-let test_engines_agree_on_families () =
-  List.iter
-    (fun name ->
-      let model = Qbf_models.Families.by_name name in
-      let oracle = Qbf_models.Reach.diameter model in
-      List.iter
-        (fun (pname, propagation) ->
-          let config =
-            ST.(
-              default_config |> with_heuristic Partial_order
-              |> with_propagation propagation)
-          in
-          let r =
-            Qbf_models.Diameter.compute_report ~config ~mode:`Incremental
-              model
-          in
-          Alcotest.(check (option int))
-            (Printf.sprintf "%s %s diameter" name pname)
-            (Some oracle) r.Qbf_models.Diameter.diameter)
-        [ ("watched", ST.Watched); ("counters", ST.Counters) ])
-    [ "counter2"; "ring4"; "semaphore2" ]
+  for seed = 0 to 99 do
+    let rng = Qbf_gen.Rng.create (8000 + seed) in
+    let nvars = 4 + Qbf_gen.Rng.int rng 10 in
+    let f =
+      if seed mod 2 = 0 then
+        Qbf_gen.Randqbf.tree rng ~nvars
+          ~nclauses:(6 + Qbf_gen.Rng.int rng 20)
+          ~len:3 ()
+      else
+        Qbf_gen.Randqbf.prenex rng ~nvars
+          ~levels:(1 + (seed mod 4))
+          ~nclauses:(6 + Qbf_gen.Rng.int rng 20)
+          ~len:3 ~min_exists:1 ()
+    in
+    let config = ST.(default_config |> with_debug_checks true) in
+    ("fixpoint-complete " ^ string_of_int seed => Eval.eval f)
+      (Qbf_solver.Engine.solve ~config f).ST.outcome
+  done
 
 let suite =
   [
@@ -210,6 +176,4 @@ let suite =
       test_watch_invariants_across_session;
     Alcotest.test_case "fixpoint completeness (debug_checks)" `Quick
       test_fixpoint_completeness;
-    Alcotest.test_case "engines agree with BFS on families" `Quick
-      test_engines_agree_on_families;
   ]

@@ -120,14 +120,13 @@ let test_budget () =
   | ST.Unknown | ST.True | ST.False -> ()
 
 (* Exact search statistics on a fixed set of instances.  The other tests
-   compare answers (or two engines with each other), so a change that
-   moves the search path — a decision, a propagation, a learned
-   constraint — without changing an answer would pass unnoticed.  The
-   set: the diameter iterations of counter3, gray2 and semaphore3 (PO on
-   eq. (14), TO on its ∃↑∀↑ prenexing, incremental sessions, stats summed
-   over the bounds) under both propagation engines, one FPV instance
-   solved with a proof trace attached, and one solved under aggressive
-   DB reduction.  A change meant to alter the search must update these
+   compare answers, so a change that moves the search path — a
+   decision, a propagation, a learned constraint — without changing an
+   answer would pass unnoticed.  The set: the diameter iterations of
+   counter3, gray2 and semaphore3 (PO on eq. (14), TO on its ∃↑∀↑
+   prenexing, incremental sessions, stats summed over the bounds), one
+   FPV instance solved with a proof trace attached, and one solved under
+   aggressive DB reduction.  A change meant to alter the search must update these
    figures and say why. *)
 let stats_line (st : ST.stats) =
   Printf.sprintf
@@ -137,18 +136,14 @@ let stats_line (st : ST.stats) =
     st.learned_clauses st.learned_cubes st.backjumps st.chrono_fallbacks
     st.max_decision_level st.restarts_done st.deleted_constraints
 
-let dia_stats name style propagation =
+let dia_stats name style =
   let module D = Qbf_models.Diameter in
   let heuristic =
     match style with
     | D.Nonprenex -> ST.Partial_order
     | D.Prenex -> ST.Total_order
   in
-  let config =
-    ST.(
-      default_config |> with_heuristic heuristic
-      |> with_propagation propagation)
-  in
+  let config = ST.(default_config |> with_heuristic heuristic) in
   let model = Qbf_models.Families.by_name name in
   let r = D.compute_report ~config ~style ~max_n:40 model in
   (* per-bound deltas; max_decision_level is the session's high-water
@@ -172,7 +167,7 @@ let dia_stats name style propagation =
     r.D.per_bound;
   stats_line t
 
-let fpv_proof_stats propagation =
+let fpv_proof_stats () =
   let rng = Qbf_gen.Rng.create 101 in
   let f =
     Qbf_gen.Fpv.generate rng
@@ -180,11 +175,7 @@ let fpv_proof_stats propagation =
   in
   let path = Filename.temp_file "test-search-path" ".qrp" in
   let proof = Qbf_solver.Proof.create ~path in
-  let r =
-    Qbf_solver.Engine.solve
-      ~config:ST.(default_config |> with_propagation propagation)
-      ~proof f
-  in
+  let r = Qbf_solver.Engine.solve ~proof f in
   Qbf_solver.Proof.close proof;
   Sys.remove path;
   stats_line r.ST.stats
@@ -193,7 +184,7 @@ let fpv_proof_stats propagation =
    due in so short a run): the one pinned run that compacts the arena
    mid-search, with reasons assigned and discovery queues live
    (sessions compact only between solves). *)
-let fpv_reduce_stats propagation =
+let fpv_reduce_stats () =
   let rng = Qbf_gen.Rng.create 9104 in
   let f =
     Qbf_gen.Fpv.generate rng
@@ -201,7 +192,7 @@ let fpv_reduce_stats propagation =
   in
   let config =
     ST.(
-      default_config |> with_propagation propagation |> with_restarts true
+      default_config |> with_restarts true
       |> with_db_reduction true |> with_db_reduce_interval 4
       |> with_db_keep_fraction 0.25)
   in
@@ -209,53 +200,29 @@ let fpv_reduce_stats propagation =
 
 let pinned_search_path =
   [
-    ( "counter3 PO watched",
+    ( "counter3 PO",
       "dec=1796 prop=22940 pure=18434 confl=40 sol=441 lc=39 lu=433 bj=472 fb=1 \
        maxlvl=22 rst=0 del=0" );
-    ( "counter3 TO watched",
+    ( "counter3 TO",
       "dec=926 prop=11267 pure=11993 confl=9 sol=266 lc=8 lu=259 bj=267 fb=0 \
        maxlvl=20 rst=0 del=0" );
-    ( "gray2 PO watched",
+    ( "gray2 PO",
       "dec=246 prop=2012 pure=969 confl=17 sol=46 lc=16 lu=43 bj=59 fb=0 \
        maxlvl=13 rst=0 del=0" );
-    ( "gray2 TO watched",
+    ( "gray2 TO",
       "dec=113 prop=1168 pure=925 confl=11 sol=47 lc=10 lu=44 bj=54 fb=0 \
        maxlvl=9 rst=0 del=0" );
-    ( "semaphore3 PO watched",
+    ( "semaphore3 PO",
       "dec=1468 prop=11829 pure=12330 confl=49 sol=204 lc=46 lu=199 bj=245 fb=6 \
        maxlvl=23 rst=0 del=0" );
-    ( "semaphore3 TO watched",
+    ( "semaphore3 TO",
       "dec=2019 prop=13854 pure=13835 confl=230 sol=250 lc=96 lu=239 bj=335 fb=143 \
        maxlvl=27 rst=0 del=0" );
-    ( "fpv proof watched",
+    ( "fpv proof",
       "dec=11 prop=29 pure=0 confl=4 sol=3 lc=3 lu=3 bj=6 fb=0 \
        maxlvl=9 rst=0 del=0" );
-    ( "fpv reduce watched",
+    ( "fpv reduce",
       "dec=106 prop=448 pure=2 confl=3 sol=100 lc=3 lu=99 bj=102 fb=0 \
-       maxlvl=8 rst=0 del=66" );
-    ( "counter3 PO counters",
-      "dec=2222 prop=30250 pure=22187 confl=40 sol=559 lc=39 lu=551 bj=590 fb=1 \
-       maxlvl=22 rst=0 del=0" );
-    ( "counter3 TO counters",
-      "dec=947 prop=11770 pure=11905 confl=9 sol=277 lc=8 lu=270 bj=278 fb=0 \
-       maxlvl=20 rst=0 del=0" );
-    ( "gray2 PO counters",
-      "dec=262 prop=2066 pure=1026 confl=18 sol=46 lc=17 lu=43 bj=60 fb=0 \
-       maxlvl=13 rst=0 del=0" );
-    ( "gray2 TO counters",
-      "dec=114 prop=1189 pure=899 confl=11 sol=45 lc=10 lu=42 bj=52 fb=0 \
-       maxlvl=9 rst=0 del=0" );
-    ( "semaphore3 PO counters",
-      "dec=1469 prop=11847 pure=12351 confl=49 sol=205 lc=46 lu=200 bj=246 fb=6 \
-       maxlvl=23 rst=0 del=0" );
-    ( "semaphore3 TO counters",
-      "dec=2278 prop=16087 pure=14501 confl=373 sol=284 lc=85 lu=271 bj=356 fb=299 \
-       maxlvl=27 rst=0 del=0" );
-    ( "fpv proof counters",
-      "dec=11 prop=29 pure=0 confl=4 sol=3 lc=3 lu=3 bj=6 fb=0 \
-       maxlvl=9 rst=0 del=0" );
-    ( "fpv reduce counters",
-      "dec=106 prop=447 pure=2 confl=3 sol=100 lc=3 lu=99 bj=102 fb=0 \
        maxlvl=8 rst=0 del=66" );
   ]
 
@@ -263,21 +230,13 @@ let test_search_path () =
   let module D = Qbf_models.Diameter in
   let actual =
     List.concat_map
-      (fun (ename, engine) ->
-        List.concat_map
-          (fun name ->
-            [
-              ( Printf.sprintf "%s PO %s" name ename,
-                dia_stats name D.Nonprenex engine );
-              ( Printf.sprintf "%s TO %s" name ename,
-                dia_stats name D.Prenex engine );
-            ])
-          [ "counter3"; "gray2"; "semaphore3" ]
-        @ [
-            (Printf.sprintf "fpv proof %s" ename, fpv_proof_stats engine);
-            (Printf.sprintf "fpv reduce %s" ename, fpv_reduce_stats engine);
-          ])
-      [ ("watched", ST.Watched); ("counters", ST.Counters) ]
+      (fun name ->
+        [
+          (name ^ " PO", dia_stats name D.Nonprenex);
+          (name ^ " TO", dia_stats name D.Prenex);
+        ])
+      [ "counter3"; "gray2"; "semaphore3" ]
+    @ [ ("fpv proof", fpv_proof_stats ()); ("fpv reduce", fpv_reduce_stats ()) ]
   in
   List.iter2
     (fun (name, expected) (name', got) ->

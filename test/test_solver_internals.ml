@@ -188,21 +188,6 @@ let test_restarts_and_reduction () =
   let r = Qbf_solver.Engine.solve ~config f in
   Alcotest.check Util.outcome "paper formula" ST.False r.ST.outcome
 
-let test_max_decisions_budget () =
-  let rng = Qbf_gen.Rng.create 77 in
-  let f = Qbf_gen.Randqbf.prenex rng ~nvars:40 ~levels:4 ~nclauses:160 ~len:3 () in
-  let r =
-    Qbf_solver.Engine.solve
-      ~config:
-        ST.(
-          default_config |> with_max_decisions (Some 5)
-          |> with_learning false |> with_pure_literals false)
-      f
-  in
-  Alcotest.(check bool) "stopped early or finished" true
-    (r.ST.outcome = ST.Unknown || ST.nodes r.ST.stats >= 1);
-  Alcotest.(check bool) "respected budget" true (r.ST.stats.ST.decisions <= 6)
-
 let test_should_stop () =
   let rng = Qbf_gen.Rng.create 78 in
   let f = Qbf_gen.Randqbf.prenex rng ~nvars:40 ~levels:4 ~nclauses:160 ~len:3 () in
@@ -257,7 +242,6 @@ let suite =
     Alcotest.test_case "learned clauses are sound nogoods" `Quick
       test_learned_clauses_sound;
     Alcotest.test_case "restarts and db reduction" `Quick test_restarts_and_reduction;
-    Alcotest.test_case "max-decisions budget" `Quick test_max_decisions_budget;
     Alcotest.test_case "should_stop budget" `Quick test_should_stop;
     Alcotest.test_case "all-universal formulas" `Quick
       test_all_universal_formula;

@@ -26,12 +26,11 @@
       growth contract validated, each call checked against the
       expansion oracle on the matching one-shot formula;
 
-   5. propagation engines: the same formula solved under Watched and
-      Counters (TO and PO, learning on and off) — outcomes must agree
-      with each other and the oracle, and with learning off the two
-      engines run the identical search (learned constraints are the
-      only state they track differently), so decision counts must be
-      equal too;
+   5. fixpoint completeness: the formula solved (TO and PO, learning
+      on and off) with [debug_checks], which rescans the whole
+      database at every propagation fixpoint for a unit, conflict or
+      solution the counters and watches failed to announce (raising
+      on one) — and the outcome must match the oracle;
 
    6. loader crash-robustness: hostile byte mutations through both
       loaders and the serving layer's frame decoder — structured
@@ -341,50 +340,34 @@ let () =
              complain seed "SESSION exception: %s" (Printexc.to_string e));
           Qbf_solver.Session.dispose t
         end);
-       (* 5. Watched vs Counters propagation engines *)
+       (* 5. fixpoint completeness: debug_checks raises on a missed
+          discovery, the completeness half of the watched-literal
+          invariant *)
        List.iter
          (fun (hname, heuristic) ->
            List.iter
              (fun learning ->
-               let run propagation =
-                 (* debug_checks asserts at every fixpoint that no
-                    constraint is undetectedly unit/conflicting/solved —
-                    the completeness half of the watched-literal
-                    invariant (and a sanity check on the counters) *)
+               match
                  Qbf_solver.Engine.solve
                    ~config:
                      ST.(
                        default_config |> with_heuristic heuristic
                        |> with_learning learning
-                       |> with_propagation propagation
                        |> with_debug_checks true)
                    f
-               in
-               match (run ST.Watched, run ST.Counters) with
+               with
                | exception e ->
-                   complain seed "ENGINE exception [%s learn=%b]: %s" hname
+                   complain seed "FIXPOINT exception [%s learn=%b]: %s" hname
                      learning (Printexc.to_string e)
-               | w, c ->
-               let name o =
-                 match o with
-                 | ST.True -> "true"
-                 | ST.False -> "false"
-                 | ST.Unknown -> "unknown"
-               in
-               if w.ST.outcome <> c.ST.outcome then
-                 complain seed "ENGINE MISMATCH [%s learn=%b] watched=%s counters=%s"
-                   hname learning (name w.ST.outcome) (name c.ST.outcome)
-               else if w.ST.outcome <> (if expected then ST.True else ST.False)
-               then
-                 complain seed "ENGINE ORACLE MISMATCH [%s learn=%b] got=%s expected=%b"
-                   hname learning (name w.ST.outcome) expected
-               else if
-                 (not learning)
-                 && w.ST.stats.ST.decisions <> c.ST.stats.ST.decisions
-               then
-                 complain seed
-                   "ENGINE DECISION DRIFT [%s learn=false] watched=%d counters=%d"
-                   hname w.ST.stats.ST.decisions c.ST.stats.ST.decisions)
+               | r ->
+                   if r.ST.outcome <> (if expected then ST.True else ST.False)
+                   then
+                     complain seed
+                       "FIXPOINT ORACLE MISMATCH [%s learn=%b] got=%s \
+                        expected=%b"
+                       hname learning
+                       (Qbf_solver.Outcome.to_string r.ST.outcome)
+                       expected)
              [ true; false ])
          [ ("TO", ST.Total_order); ("PO", ST.Partial_order) ];
        (* 7. learned-DB reduction differential: aggressive reduction (a
