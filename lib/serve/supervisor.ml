@@ -216,16 +216,6 @@ let record_stats j (a : attempt_stats) =
   j.stats <-
     a :: List.filter (fun x -> x.as_attempt <> a.as_attempt) j.stats
 
-let record_failure j cls =
-  j.last_failure <- Some cls;
-  let key = Failure.to_string cls in
-  let rec bump = function
-    | [] -> [ (key, 1) ]
-    | (k, v) :: rest when k = key -> (k, v + 1) :: rest
-    | kv :: rest -> kv :: bump rest
-  in
-  j.failures <- bump j.failures
-
 (* The stop-reason string a worker reports, mapped back to a failure
    class (the worker saw Run.stop_reason; the wire carries its
    rendering). *)
@@ -255,6 +245,20 @@ type t = {
 (* Feed the telemetry aggregator, when one is attached.  Every hook is
    a plain function on Telemetry.t so this stays one branch when off. *)
 let tel t f = match t.telemetry with Some tel -> f tel | None -> ()
+
+(* Account one failure of [j]: on the job's report, in the summary
+   counters and in telemetry, so the three always agree. *)
+let record_failure t j cls =
+  j.last_failure <- Some cls;
+  let key = Failure.to_string cls in
+  let rec bump = function
+    | [] -> [ (key, 1) ]
+    | (k, v) :: rest when k = key -> (k, v + 1) :: rest
+    | kv :: rest -> kv :: bump rest
+  in
+  j.failures <- bump j.failures;
+  Counters.incr t.counters ("failures_" ^ key);
+  tel t (fun a -> Telemetry.on_failure a cls)
 
 let interrupted t =
   match t.interrupt with
@@ -417,9 +421,7 @@ let give_up t j =
    escalation if the failure was budget-shaped), or we give up. *)
 let attempt_failed t j cls =
   if j.state <> Done then begin
-    record_failure j cls;
-    Counters.incr t.counters ("failures_" ^ Failure.to_string cls);
-    tel t (fun a -> Telemetry.on_failure a cls);
+    record_failure t j cls;
     if Failure.escalates_budget cls then j.round_escalates <- true;
     match cls with
     | Failure.Input _ ->
@@ -469,8 +471,7 @@ let ingest t j =
   in
   match loaded with
   | Error e ->
-      record_failure j (Failure.Input (Qbf_run.Run_error.to_string e));
-      Counters.incr t.counters "failures_input";
+      record_failure t j (Failure.Input (Qbf_run.Run_error.to_string e));
       finish t j
         {
           (base_report j) with
@@ -621,8 +622,8 @@ let schedule t =
    certificate; [Error] means the file exists but fails to prove the
    claimed outcome — the answer is as untrustworthy as a garbage
    frame. *)
-let verify_certificate t j (a : Protocol.answer) =
-  match (t.policy.proof_dir, a.Protocol.a_proof) with
+let verify_certificate t j ~outcome proof =
+  match (t.policy.proof_dir, proof) with
   | None, _ -> Ok None
   | Some _, None ->
       Counters.incr t.counters "unwitnessed_answers";
@@ -638,9 +639,8 @@ let verify_certificate t j (a : Protocol.answer) =
       | Ok f -> (
           match Qbf_check.Checker.check_file ~formula:f path with
           | Ok v
-            when List.mem
-                   (a.Protocol.a_outcome = ST.True)
-                   v.Qbf_check.Checker.conclusions ->
+            when List.mem (outcome = ST.True) v.Qbf_check.Checker.conclusions
+            ->
               Counters.incr t.counters "proofs_checked";
               Ok (Some path)
           | Ok _ -> Error "certificate concludes the wrong outcome"
@@ -673,7 +673,10 @@ let handle_answer t w (a : Protocol.answer) =
             match (a.Protocol.a_error, a.Protocol.a_outcome) with
             | Some msg, _ -> attempt_failed t j (Failure.Input msg)
             | None, (ST.True | ST.False) -> (
-                match verify_certificate t j a with
+                match
+                  verify_certificate t j ~outcome:a.Protocol.a_outcome
+                    a.Protocol.a_proof
+                with
                 | Error _ ->
                     Counters.incr t.counters "proofs_rejected";
                     attempt_failed t j Failure.Garbage
@@ -866,14 +869,19 @@ let reap_and_respawn t ~respawn =
 (* In-process fallback                                                 *)
 
 (* No pool (workers = 0, or fork is refusing): solve inline, one job at
-   a time, under the same budgets.  No racing and no crash isolation —
-   but the batch still completes, which is the point. *)
+   a time, under the same budgets.  No racing, retries or crash
+   isolation, but the batch still completes, which is the point.  A
+   conclusive answer passes the same certificate check as a worker's;
+   an Unknown finishes its own job only, since only a conclusive answer
+   may be shared with duplicates. *)
 let solve_inline t j =
   if j.state <> Done && not (try_cache t j) then begin
     Counters.incr t.counters "inline_solves";
     tel t Telemetry.on_inline_solve;
     let ts = now () in
     j.first_dispatch <- Some ts;
+    (* named before the attempt counts, as [dispatch_for] names it *)
+    let proof_file = proof_path_for t j in
     j.attempts <- j.attempts + 1;
     let config =
       match Worker.config_of_label (List.nth_opt t.policy.race 0 |> Option.value ~default:"po-watched") with
@@ -901,7 +909,6 @@ let solve_inline t j =
           (match job.Protocol.max_nodes with Some _ as n -> n | None -> p.max_nodes)
         ~poll_interval:64 ()
     in
-    let proof_file = proof_path_for t j in
     match
       match
         Run.solve_source ~limits ?interrupt:t.interrupt ~config ?proof_file
@@ -914,22 +921,16 @@ let solve_inline t j =
                { file = Option.value ~default:"" proof_file; msg })
     with
     | Error e ->
-        record_failure j (Failure.Input (Qbf_run.Run_error.to_string e));
-        Counters.incr t.counters "failures_input";
+        record_failure t j (Failure.Input (Qbf_run.Run_error.to_string e));
         finish t j
           {
             (base_report j) with
             r_error = Some (Qbf_run.Run_error.to_string e);
           }
-    | Ok r ->
-        (match r.Run.stopped with
-        | Some reason ->
-            record_failure j (Failure.of_stop_reason reason);
-            Counters.incr t.counters
-              ("failures_" ^ Failure.to_string (Failure.of_stop_reason reason));
-            tel t (fun a ->
-                Telemetry.on_failure a (Failure.of_stop_reason reason))
-        | None -> ());
+    | Ok r -> (
+        Option.iter
+          (fun reason -> record_failure t j (Failure.of_stop_reason reason))
+          r.Run.stopped;
         if inline_obs <> None then begin
           record_stats j
             {
@@ -948,7 +949,7 @@ let solve_inline t j =
                   st_profile = r.Run.profile;
                 })
         end;
-        settle t j
+        let report =
           {
             (base_report j) with
             r_outcome = r.Run.outcome;
@@ -957,11 +958,22 @@ let solve_inline t j =
             r_stopped = Option.map Run.string_of_stop_reason r.Run.stopped;
             r_decisions = r.Run.stats.ST.decisions;
             r_nodes = ST.nodes r.Run.stats;
-            r_proof =
-              (match r.Run.witness with
-              | ST.Proof_trace { path; _ } -> Some path
-              | ST.No_witness -> None);
           }
+        in
+        match r.Run.outcome with
+        | ST.Unknown -> finish t j report
+        | ST.True | ST.False -> (
+            let proof =
+              match r.Run.witness with
+              | ST.Proof_trace { path; _ } -> Some path
+              | ST.No_witness -> None
+            in
+            match verify_certificate t j ~outcome:r.Run.outcome proof with
+            | Error _ ->
+                Counters.incr t.counters "proofs_rejected";
+                record_failure t j Failure.Garbage;
+                give_up t j
+            | Ok r_proof -> settle t j { report with r_proof }))
   end
 
 (* ------------------------------------------------------------------ *)

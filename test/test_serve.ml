@@ -271,6 +271,75 @@ let test_supervisor_inline_fallback () =
   Alcotest.(check bool) "inline solves accounted" true
     (List.assoc "inline_solves" summary.Supervisor.s_counters > 0)
 
+(* A formula no configuration decides within one node. *)
+let budget_stopped_qbf () =
+  let f =
+    Qbf_gen.Ncf.generate_ratio (Qbf_gen.Rng.create 1) ~dep:6 ~var:10
+      ~ratio:2.2 ~lpc:4
+  in
+  Qbf_io.Qdimacs.to_string
+    (Qbf_prenex.Prenexing.apply Qbf_prenex.Prenexing.e_up_a_up f)
+
+let counter summary name =
+  Option.value ~default:0 (List.assoc_opt name summary.Supervisor.s_counters)
+
+let test_inline_unknown_not_shared () =
+  (* a budget-stopped answer says nothing about the formula, so its
+     duplicate must be solved, not answered from the cache *)
+  let text = budget_stopped_qbf () in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 0;
+      max_nodes = Some 1;
+    }
+  in
+  let reports, summary = Supervisor.run ~policy (inline_jobs [ text; text ]) in
+  List.iter
+    (fun r ->
+      Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
+        r.Supervisor.r_outcome;
+      Alcotest.(check bool) "not a cache hit" false r.Supervisor.r_cached;
+      Alcotest.(check string) "solved inline" "inline" r.Supervisor.r_config)
+    reports;
+  Alcotest.(check int) "no cache hits" 0 (counter summary "cache_hits");
+  Alcotest.(check int) "both solved" 2 (counter summary "inline_solves")
+
+(* A fresh empty directory for certificates. *)
+let temp_dir prefix =
+  let d = Filename.temp_file prefix "" in
+  Sys.remove d;
+  Sys.mkdir d 0o700;
+  d
+
+let test_inline_certificates_checked () =
+  let dir = temp_dir "test-serve-proofs" in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 0;
+      proof_dir = Some dir;
+    }
+  in
+  let reports, summary =
+    Supervisor.run ~policy (inline_jobs [ true_qbf; false_qbf ])
+  in
+  Alcotest.(check bool) "answers" true
+    (outcomes reports = [ (0, ST.True); (1, ST.False) ]);
+  Alcotest.(check int) "both certificates checked" 2
+    (counter summary "proofs_checked");
+  List.iter
+    (fun r ->
+      match r.Supervisor.r_proof with
+      | None -> Alcotest.fail "conclusive inline answer without a proof"
+      | Some path ->
+          Alcotest.(check string) "named after attempt 1"
+            (Printf.sprintf "job%d-a1.qrp" r.Supervisor.r_id)
+            (Filename.basename path))
+    reports;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_supervisor_input_error () =
   let jobs =
     inline_jobs [ "p cnf garbage header"; false_qbf ]
@@ -338,6 +407,10 @@ let suite =
       test_supervisor_clean_batch;
     Alcotest.test_case "in-process fallback" `Quick
       test_supervisor_inline_fallback;
+    Alcotest.test_case "in-process unknown not shared" `Quick
+      test_inline_unknown_not_shared;
+    Alcotest.test_case "in-process certificates checked" `Quick
+      test_inline_certificates_checked;
     Alcotest.test_case "input error accounting" `Quick
       test_supervisor_input_error;
     Alcotest.test_case "fault injection keeps answers" `Quick

@@ -277,6 +277,35 @@ let test_faulty_batch_reconciles () =
   Alcotest.(check bool) "merged engine stats present" true
     (Json.member "engine" j <> Some Json.Null)
 
+let test_input_failures_reach_telemetry () =
+  (* an unparsable job fails at ingest; a valid one whose certificate
+     cannot be created (the proof "directory" is a plain file) fails on
+     the in-process path: both must be counted in the summary and in
+     telemetry alike *)
+  let not_a_dir = Filename.temp_file "test-telemetry" ".notdir" in
+  let tel = Telemetry.create () in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 0;
+      proof_dir = Some not_a_dir;
+    }
+  in
+  let _, summary =
+    Supervisor.run ~policy ~telemetry:tel
+      (inline_jobs [ "p cnf garbage header"; false_qbf ])
+  in
+  Sys.remove not_a_dir;
+  let telemetry_count =
+    Option.bind
+      (Json.member "counters" (Telemetry.to_json tel))
+      (fun c -> Option.bind (Json.member "failures_input" c) Json.to_int_opt)
+  in
+  Alcotest.(check (option int)) "summary counts both" (Some 2)
+    (List.assoc_opt "failures_input" summary.Supervisor.s_counters);
+  Alcotest.(check (option int)) "telemetry agrees with the summary" (Some 2)
+    telemetry_count
+
 let test_check_catches_lost_worker () =
   (* a spawn without a matching reap must fail validation *)
   let tel = Telemetry.create () in
@@ -321,6 +350,8 @@ let suite =
       test_clean_batch_reconciles;
     Alcotest.test_case "faulty batch reconciles" `Quick
       test_faulty_batch_reconciles;
+    Alcotest.test_case "input failures reach telemetry" `Quick
+      test_input_failures_reach_telemetry;
     Alcotest.test_case "check catches lost worker" `Quick
       test_check_catches_lost_worker;
     Alcotest.test_case "reports carry per-attempt stats" `Quick
