@@ -1,43 +1,32 @@
 (* Incremental vs rebuild on the diameter iteration (the DIA
-   workload): the evidence artifact behind `qdiameter --incremental`.
+   workload): the experiment behind `qdiameter --incremental`.
 
    One record per model: both modes run the same phi_0..phi_d bound
-   iteration — they must agree on the diameter — and the JSON record
-   (BENCH_dia.json) keeps per-bound decision/conflict deltas alongside
-   the totals, so perf PRs can diff search shape, not just seconds. *)
+   iteration, and they must agree on the diameter. *)
 
 module ST = Qbf_solver.Solver_types
 module D = Qbf_models.Diameter
-module Json = Qbf_obs.Json
 module Limits = Qbf_run.Limits
 
 type mode_run = {
   report : D.report;
   time_s : float; (* wall seconds over the whole iteration *)
-  bound_times : float list; (* wall seconds per bound, ascending *)
 }
 
 type result = {
   model : string;
-  style : D.style;
   inc : mode_run;
   rebuild : mode_run;
 }
 
-let stat_total f (r : mode_run) =
+let decisions (r : mode_run) =
   List.fold_left
-    (fun acc (b : D.bound_stat) -> acc + f b.D.stats)
+    (fun acc (b : D.bound_stat) -> acc + b.D.stats.ST.decisions)
     0 r.report.D.per_bound
-
-let decisions = stat_total (fun s -> s.ST.decisions)
-let conflicts = stat_total (fun s -> s.ST.conflicts)
-let propagations = stat_total (fun s -> s.ST.propagations)
 
 (* rebuild-over-incremental; > 1 means the session pays off *)
 let decision_ratio r =
   float_of_int (decisions r.rebuild) /. float_of_int (max 1 (decisions r.inc))
-
-let time_ratio r = r.rebuild.time_s /. Float.max 1e-6 r.inc.time_s
 
 let run_mode ~timeout_s ~style ~max_n ~mode model =
   let deadline = Limits.Deadline.after timeout_s in
@@ -53,109 +42,15 @@ let run_mode ~timeout_s ~style ~max_n ~mode model =
       |> with_stop_interval 64)
   in
   let t0 = Unix.gettimeofday () in
-  let last = ref t0 in
-  let bound_times = ref [] in
-  let on_bound (_ : D.bound_stat) =
-    let now = Unix.gettimeofday () in
-    bound_times := (now -. !last) :: !bound_times;
-    last := now
-  in
-  let report = D.compute_report ~config ~style ~max_n ~mode ~on_bound model in
-  {
-    report;
-    time_s = Unix.gettimeofday () -. t0;
-    bound_times = List.rev !bound_times;
-  }
+  let report = D.compute_report ~config ~style ~max_n ~mode model in
+  { report; time_s = Unix.gettimeofday () -. t0 }
 
 let run ?(timeout_s = 60.) ?(max_n = 64) ~style model =
   {
     model = Qbf_models.Model.name model;
-    style;
     inc = run_mode ~timeout_s ~style ~max_n ~mode:`Incremental model;
     rebuild = run_mode ~timeout_s ~style ~max_n ~mode:`Rebuild model;
   }
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_dia.json *)
-
-let schema_version = 1
-
-let string_of_outcome = Qbf_solver.Outcome.to_json_string
-
-let json_of_bound (b : D.bound_stat) time_s =
-  Json.Obj
-    [
-      ("bound", Json.Int b.D.bound);
-      ("outcome", Json.String (string_of_outcome b.D.outcome));
-      ("time_s", Json.Float time_s);
-      ("nvars", Json.Int b.D.nvars);
-      ("carried_clauses", Json.Int b.D.carried_clauses);
-      ("decisions", Json.Int b.D.stats.ST.decisions);
-      ("propagations", Json.Int b.D.stats.ST.propagations);
-      ("conflicts", Json.Int b.D.stats.ST.conflicts);
-      ("solutions", Json.Int b.D.stats.ST.solutions);
-      ("learned_clauses", Json.Int b.D.stats.ST.learned_clauses);
-      ("learned_cubes", Json.Int b.D.stats.ST.learned_cubes);
-    ]
-
-let json_of_mode (r : mode_run) =
-  let rec zip bs ts =
-    match (bs, ts) with
-    | [], _ -> []
-    | b :: bs, [] -> json_of_bound b 0. :: zip bs []
-    | b :: bs, t :: ts -> json_of_bound b t :: zip bs ts
-  in
-  Json.Obj
-    [
-      ( "diameter",
-        match r.report.D.diameter with
-        | Some d -> Json.Int d
-        | None -> Json.Null );
-      ("lower_bound", Json.Int r.report.D.lower_bound);
-      ( "stop",
-        Json.String
-          (match r.report.D.stop with
-          | D.Complete -> "complete"
-          | D.Bound_exceeded -> "bound-exceeded"
-          | D.Solver_stopped -> "solver-stopped") );
-      ("time_s", Json.Float r.time_s);
-      ("decisions", Json.Int (decisions r));
-      ("propagations", Json.Int (propagations r));
-      ("conflicts", Json.Int (conflicts r));
-      ("per_bound", Json.List (zip r.report.D.per_bound r.bound_times));
-    ]
-
-let json_of_result r =
-  Json.Obj
-    [
-      ("model", Json.String r.model);
-      ( "style",
-        Json.String
-          (match r.style with D.Nonprenex -> "po" | D.Prenex -> "to") );
-      ("incremental", json_of_mode r.inc);
-      ("rebuild", json_of_mode r.rebuild);
-      ("decision_ratio", Json.Float (decision_ratio r));
-      ("time_ratio", Json.Float (time_ratio r));
-    ]
-
-(* Write BENCH_dia.json under [dir] (created if missing). *)
-let write_json ~dir results =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let file = Filename.concat dir "BENCH_dia.json" in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String "qube-bench-dia");
-                ("v", Json.Int schema_version);
-                ("results", Json.List (List.map json_of_result results));
-              ]));
-      output_char oc '\n');
-  file
 
 (* ------------------------------------------------------------------ *)
 (* Console table *)

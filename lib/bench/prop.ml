@@ -1,5 +1,5 @@
-(* Propagation throughput on the DIA workload: the evidence artifact
-   behind the propagation scheme (original clauses on eager counters,
+(* Propagation throughput on the DIA workload: the experiment behind
+   the propagation scheme (original clauses on eager counters,
    learned constraints on two watched literals; see State).
 
    One record per model: the PO incremental phi_0..phi_d iteration,
@@ -26,7 +26,6 @@ module D = Qbf_models.Diameter
 module Obs = Qbf_obs.Obs
 module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
-module Json = Qbf_obs.Json
 module Limits = Qbf_run.Limits
 
 type result = {
@@ -145,82 +144,6 @@ let run_db ?(timeout_s = 60.) ?(max_n = 64) model =
     reduce_on = run_db_engine ~timeout_s ~max_n ~reduce:true model;
     reduce_off = run_db_engine ~timeout_s ~max_n ~reduce:false model;
   }
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_prop.json *)
-
-let schema_version = 3
-
-(* One flat row per model, so that bench_diff's per-row gates compare
-   the throughput and time fields directly. *)
-let json_of_result r =
-  Json.Obj
-    [
-      ("model", Json.String r.model);
-      ( "diameter",
-        match r.report.D.diameter with
-        | Some d -> Json.Int d
-        | None -> Json.Null );
-      ("lower_bound", Json.Int r.report.D.lower_bound);
-      ( "stop",
-        Json.String
-          (match r.report.D.stop with
-          | D.Complete -> "complete"
-          | D.Bound_exceeded -> "bound-exceeded"
-          | D.Solver_stopped -> "solver-stopped") );
-      ("time_s", Json.Float r.time_s);
-      ("propagations", Json.Int r.propagations);
-      ("propagate_s", Json.Float r.propagate_s);
-      ("backtrack_s", Json.Float r.backtrack_s);
-      ("decisions", Json.Int r.decisions);
-      ("learned", Json.Int r.learned);
-      ("wall_props_per_sec", Json.Float (wall_props_per_sec r));
-      ("engine_props_per_sec", Json.Float (engine_props_per_sec r));
-    ]
-
-let json_of_db_run (r : db_run) =
-  Json.Obj
-    [
-      ( "diameter",
-        match r.db_report.D.diameter with
-        | Some d -> Json.Int d
-        | None -> Json.Null );
-      ("time_s", Json.Float r.db_time_s);
-      ("learned", Json.Int r.db_learned);
-      ("deleted", Json.Int r.db_deleted);
-      ("decisions", Json.Int r.db_decisions);
-    ]
-
-let json_of_db_result r =
-  Json.Obj
-    [
-      ("model", Json.String r.db_model);
-      ("reduce_on", json_of_db_run r.reduce_on);
-      ("reduce_off", json_of_db_run r.reduce_off);
-      ("agree", Json.Bool (db_agree r));
-    ]
-
-(* Write BENCH_prop.json under [dir] (created if missing).  [db] is the
-   reduction on/off series; the throughput rows stay under "results",
-   the list bench_diff gates. *)
-let write_json ~dir ?(db = []) results =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let file = Filename.concat dir "BENCH_prop.json" in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String "qube-bench-prop");
-                ("v", Json.Int schema_version);
-                ("results", Json.List (List.map json_of_result results));
-                ("db_results", Json.List (List.map json_of_db_result db));
-              ]));
-      output_char oc '\n');
-  file
 
 (* ------------------------------------------------------------------ *)
 (* Console table *)
