@@ -340,28 +340,12 @@ let run file heuristic no_learning no_pure restarts
                 ("report", json_of_report report);
               ])
         ^ "\n");
-      let buf = Buffer.create 1024 in
-      (match report.Run.metrics with
-      | Some m ->
-          Buffer.add_string buf
-            (Metrics.snapshot_to_prometheus ~prefix:"qube_engine_" m)
-      | None -> ());
-      (match report.Run.profile with
-      | Some p ->
-          List.iter
-            (fun sp ->
-              let labels = [ ("phase", sp.Profile.phase) ] in
-              let add name v =
-                Buffer.add_string buf
-                  (Printf.sprintf "# TYPE %s counter\n" name);
-                Metrics.prom_sample buf ~name ~labels v
-              in
-              add "qube_profile_calls_total" (float_of_int sp.Profile.calls);
-              add "qube_profile_wall_seconds_total" sp.Profile.wall_s;
-              add "qube_profile_cpu_seconds_total" sp.Profile.cpu_s)
-            p
-      | None -> ());
-      write (path ^ ".prom") (Buffer.contents buf));
+      let prom encode = Option.fold ~none:"" ~some:encode in
+      write (path ^ ".prom")
+        (prom (Metrics.snapshot_to_prometheus ~prefix:"qube_engine_")
+           report.Run.metrics
+        ^ prom (Profile.snapshot_to_prometheus ~prefix:"qube_profile_")
+            report.Run.profile));
   if json_status then begin
     let status =
       Json.Obj

@@ -16,8 +16,8 @@
    Blank lines and lines starting with '#' are skipped.  Output is one
    JSON status line per job (in job order), carrying the outcome,
    timing, winning configuration, attempt/retry counts and per-class
-   failure counts; --summary appends a batch-level record with the full
-   counter registry.
+   failure counts; --summary appends a batch-level record with every
+   counter of the registry that --telemetry writes.
 
    --inject-faults P makes each worker crash, die by signal, hang, or
    emit garbage with probability P per dispatch — the supervisor's
@@ -186,25 +186,23 @@ let run batch workers race_arg retries timeout mem_limit max_nodes grace hang
       seed;
     }
   in
-  (* The aggregator exists whenever --telemetry is given: it rewrites
-     FILE (JSON) and FILE.prom (Prometheus text) every interval from
-     the supervisor loop — scrapeable while the batch runs — and once
-     more, final and durable, on every exit path. *)
-  let telemetry =
-    Option.map
-      (fun path ->
-        let a = Qbf_serve.Telemetry.create () in
-        Qbf_serve.Telemetry.set_sink a ~interval_s:telemetry_interval path;
-        a)
-      telemetry_file
-  in
+  (* The supervisor counts into this registry either way, and --summary
+     reads it; --telemetry only attaches a sink that rewrites FILE
+     (JSON) and FILE.prom (Prometheus text) every interval from the
+     supervisor loop — scrapeable while the batch runs — and once more,
+     final and durable, on every exit path. *)
+  let telemetry = Qbf_serve.Telemetry.create () in
+  Option.iter
+    (Qbf_serve.Telemetry.set_sink telemetry ~interval_s:telemetry_interval)
+    telemetry_file;
   at_exit (fun () ->
-      match (telemetry, telemetry_file) with
-      | Some a, Some path -> (
-          try Qbf_serve.Telemetry.write_files a path with Sys_error _ -> ())
-      | _ -> ());
+      Option.iter
+        (fun path ->
+          try Qbf_serve.Telemetry.write_files telemetry path
+          with Sys_error _ -> ())
+        telemetry_file);
   let reports, batch_summary =
-    match Supervisor.run ~policy ~obs ~interrupt ?telemetry jobs with
+    match Supervisor.run ~policy ~obs ~interrupt ~telemetry jobs with
     | result -> result
     | exception e ->
         Printf.eprintf "qubed: internal error: %s\n" (Printexc.to_string e);
@@ -324,9 +322,10 @@ let trace_every_arg =
 let summary_arg =
   Arg.(value & flag
     & info [ "summary" ]
-        ~doc:"Append a batch-level JSON record with the counter \
-              registry (dispatches, retries, per-class failures, cache \
-              hits, spawns, kills).")
+        ~doc:"Append a batch-level JSON record with every counter of \
+              the registry $(b,--telemetry) writes (spawns, reaps by \
+              class, dispatches, retries, per-class failures, cache \
+              hits and misses, settled jobs).")
 
 let telemetry_arg =
   Arg.(value & opt (some string) None

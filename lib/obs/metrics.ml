@@ -569,14 +569,63 @@ let prom_check_line line =
     end
   end
 
-(* Whole-exposition check: every line must pass the grammar. *)
+(* Whole-exposition check: every line must pass the grammar, a family
+   has at most one # TYPE line, before its first sample, and its
+   samples are contiguous.  The _bucket/_sum/_count samples of a
+   histogram belong to its family. *)
 let prom_check_text text =
-  let lines = String.split_on_char '\n' text in
+  let typed = Hashtbl.create 64 and begun = Hashtbl.create 64 in
+  let current = ref "" in
+  let family_of name =
+    let of_suffix sfx =
+      let n = String.length name and k = String.length sfx in
+      if n > k && String.sub name (n - k) k = sfx then
+        let base = String.sub name 0 (n - k) in
+        match Hashtbl.find_opt typed base with
+        | Some ("histogram" | "summary") -> Some base
+        | _ -> None
+      else None
+    in
+    Option.value ~default:name
+      (List.find_map of_suffix [ "_bucket"; "_sum"; "_count" ])
+  in
+  let enter family =
+    if family = !current then Ok ()
+    else if Hashtbl.mem begun family then
+      Error
+        (Printf.sprintf "samples of %s resume after another family began"
+           family)
+    else begin
+      Hashtbl.replace begun family ();
+      current := family;
+      Ok ()
+    end
+  in
+  let structure l =
+    match String.split_on_char ' ' l with
+    | [ "#"; "TYPE"; name; typ ] ->
+        if Hashtbl.mem typed name then
+          Error (Printf.sprintf "second # TYPE line for %s" name)
+        else if Hashtbl.mem begun name then
+          Error (Printf.sprintf "# TYPE line for %s after its samples" name)
+        else begin
+          Hashtbl.replace typed name typ;
+          enter name
+        end
+    | _ when l = "" || l.[0] = '#' -> Ok ()
+    | _ ->
+        let stop =
+          match String.index_opt l '{' with
+          | Some i -> i
+          | None -> String.index l ' '
+        in
+        enter (family_of (String.sub l 0 stop))
+  in
   let rec go lineno = function
     | [] -> Ok ()
     | l :: rest -> (
-        match prom_check_line l with
+        match Result.bind (prom_check_line l) (fun () -> structure l) with
         | Ok () -> go (lineno + 1) rest
         | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
   in
-  go 1 lines
+  go 1 (String.split_on_char '\n' text)

@@ -198,3 +198,18 @@ let merge_snapshot (a : snapshot) (b : snapshot) =
               cpu_s = x.cpu_s +. y.cpu_s;
             })
     all_phases
+
+(* Prometheus text: three counter families, each one # TYPE line and
+   one phase-labelled sample per phase. *)
+let snapshot_to_prometheus ~prefix (s : snapshot) =
+  let buf = Buffer.create 512 in
+  List.iter
+    (fun (family, value) ->
+      Metrics.prom_family buf ~name:(prefix ^ family) ~typ:"counter"
+        (List.map (fun sp -> ([ ("phase", sp.phase) ], value sp)) s))
+    [
+      ("calls_total", fun sp -> float_of_int sp.calls);
+      ("wall_seconds_total", fun sp -> sp.wall_s);
+      ("cpu_seconds_total", fun sp -> sp.cpu_s);
+    ];
+  Buffer.contents buf

@@ -76,19 +76,26 @@ let load_exn ?format path =
 (* ------------------------------------------------------------------ *)
 (* Budgeted, interruptible solving                                     *)
 
-(* The report shape and the stop-reason derivation live in {!Report};
-   the record equations keep every existing [Run.report] consumer
-   compiling against the shared type. *)
-
-type stop_reason = Report.stop_reason =
+type stop_reason =
   | Timeout
   | Interrupted of Limits.Interrupt.reason
   | Node_budget
   | Budget
 
-let string_of_stop_reason = Report.string_of_stop_reason
+let string_of_stop_reason = function
+  | Timeout -> "timeout"
+  | Interrupted (Limits.Interrupt.Signal n) ->
+      if n = Sys.sigint then "sigint"
+      else if n = Sys.sigterm then "sigterm"
+      else Printf.sprintf "signal-%d" n
+  | Interrupted Limits.Interrupt.Memory -> "memory"
+  | Interrupted Limits.Interrupt.Manual -> "interrupted"
+  | Node_budget -> "node-budget"
+  | Budget -> "budget"
 
-type report = Report.t = {
+(* The one report shape for a budgeted solve: [solve], [Session.solve]
+   and the serving worker all report through [make_report]. *)
+type report = {
   outcome : ST.outcome;
   time : float;
   stats : ST.stats;
@@ -97,6 +104,56 @@ type report = Report.t = {
   metrics : Qbf_obs.Metrics.snapshot option;
   profile : Qbf_obs.Profile.snapshot option;
 }
+
+(* Why an [Unknown] solve ended, in priority order: an interrupt beats
+   the deadline beats the node budget beats the rest — the same order
+   the engine's budget check polls them.  [nodes] are the leaves the
+   engine compared against [max_nodes] (cumulative session totals for a
+   session call, this run's count otherwise). *)
+let stopped_of ~interrupt ~deadline ~max_nodes ~nodes = function
+  | ST.True | ST.False -> None
+  | ST.Unknown ->
+      if Limits.Interrupt.triggered interrupt then
+        Some
+          (Interrupted
+             (Option.value ~default:Limits.Interrupt.Manual
+                (Limits.Interrupt.reason interrupt)))
+      else if Limits.Deadline.expired deadline then Some Timeout
+      else
+        let node_hit =
+          match max_nodes with Some m -> nodes >= m | None -> false
+        in
+        Some (if node_hit then Node_budget else Budget)
+
+(* Snapshots of an attached collector, taken when the solve returns
+   (also on interrupt/timeout paths: Engine always returns a result). *)
+let snapshots_of_obs = function
+  | Some o ->
+      ( (if o.Qbf_obs.Obs.metrics_on then
+           Some (Qbf_obs.Metrics.snapshot o.Qbf_obs.Obs.metrics)
+         else None),
+        if o.Qbf_obs.Obs.profile_on then
+          Some (Qbf_obs.Profile.snapshot o.Qbf_obs.Obs.profile)
+        else None )
+  | None -> (None, None)
+
+(* Assemble the report of one budgeted solve from the engine's result
+   and the limit plumbing that surrounded it. *)
+let make_report ~interrupt ~deadline ~config ~time ~nodes (r : ST.result) =
+  let stopped =
+    stopped_of ~interrupt ~deadline
+      ~max_nodes:config.ST.budgets.ST.max_nodes ~nodes r.ST.outcome
+  in
+  let metrics, profile = snapshots_of_obs config.ST.observe.ST.obs in
+  {
+    outcome = r.ST.outcome;
+    time;
+    stats = r.ST.stats;
+    witness = r.ST.witness;
+    stopped;
+    metrics;
+    profile;
+  }
 
 let min_opt a b =
   match (a, b) with
@@ -162,7 +219,7 @@ let solve ?(limits = Limits.default) ?interrupt ?(config = ST.default_config)
       (fun () -> Qbf_solver.Engine.solve ~config ?proof formula)
   in
   let time = limits.Limits.clock () -. t0 in
-  Report.make ~interrupt ~deadline ~config ~time
+  make_report ~interrupt ~deadline ~config ~time
     ~nodes:(ST.nodes r.ST.stats) r
 
 (* ------------------------------------------------------------------ *)
@@ -263,7 +320,7 @@ module Session = struct
     let time = t.limits.Limits.clock () -. t0 in
     (* [max_nodes] is compared against the session's cumulative totals,
        not this call's delta — hence the session-wide node count. *)
-    Report.make ~interrupt:t.interrupt ~deadline ~config:t.config ~time
+    make_report ~interrupt:t.interrupt ~deadline ~config:t.config ~time
       ~nodes:(ST.nodes (Qbf_solver.Session.stats t.raw)) r
 
   let dispose t = Qbf_solver.Session.dispose t.raw

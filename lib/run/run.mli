@@ -30,21 +30,20 @@ val load_string :
 val load_exn : ?format:format -> string -> Qbf_core.Formula.t
 (** Exception shim: raises {!Run_error.Error}. *)
 
-(** The report types live in {!Report} and are re-exported here, so
-    [Run.report] and [Report.t] are the same type (field accesses and
-    pattern matches work through either path). *)
-
-type stop_reason = Report.stop_reason =
+type stop_reason =
   | Timeout  (** the wall-clock deadline expired *)
   | Interrupted of Limits.Interrupt.reason
       (** a signal arrived, the memory guard tripped, or code tripped
           the interrupt *)
   | Node_budget  (** the leaf budget was hit *)
-  | Budget  (** another configured budget (decisions, custom hook) *)
+  | Budget
+      (** the caller's own [should_stop] hook or [stop_flag] in [config] *)
 
 val string_of_stop_reason : stop_reason -> string
 
-type report = Report.t = {
+(** The one report shape for a budgeted solve, shared by {!solve},
+    {!Session.solve} and the serving worker. *)
+type report = {
   outcome : ST.outcome;
   time : float;  (** seconds, measured by the limits' clock *)
   stats : ST.stats;  (** complete even when stopped early *)

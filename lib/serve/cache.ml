@@ -21,8 +21,6 @@ type t = {
   tbl : (string, entry) Hashtbl.t;
   order : string Queue.t; (* insertion order, for eviction *)
   capacity : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(capacity = 100_000) () =
@@ -30,18 +28,9 @@ let create ?(capacity = 100_000) () =
     tbl = Hashtbl.create 1024;
     order = Queue.create ();
     capacity = max 1 capacity;
-    hits = 0;
-    misses = 0;
   }
 
-let find t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      Some e
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+let find t key = Hashtbl.find_opt t.tbl key
 
 let add t key entry =
   match entry.outcome with
@@ -58,5 +47,3 @@ let add t key entry =
       end
 
 let size t = Hashtbl.length t.tbl
-let hits t = t.hits
-let misses t = t.misses

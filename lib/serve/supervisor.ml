@@ -31,7 +31,6 @@ module Run = Qbf_run.Run
 module Limits = Qbf_run.Limits
 module Failure = Qbf_run.Failure
 module Json = Qbf_obs.Json
-module Counters = Qbf_obs.Counters
 module Trace = Qbf_obs.Trace
 
 (* ------------------------------------------------------------------ *)
@@ -89,9 +88,9 @@ let default_policy =
 (* Per-job reports                                                     *)
 
 (* Per-attempt engine statistics, recovered from worker stats frames
-   (or collected directly on the inline path).  Each attempt keeps its
-   latest snapshot, so even a killed attempt's partial work survives
-   into the job's report. *)
+   (or collected directly on the inline path) and kept in the
+   telemetry registry.  Each attempt keeps its latest snapshot, so even
+   a killed attempt's partial work survives into the job's report. *)
 type attempt_stats = {
   as_attempt : int;
   as_pid : int; (* 0 on the inline path *)
@@ -206,15 +205,8 @@ type jrec = {
   mutable failures : (string * int) list;
   mutable first_dispatch : float option;
   mutable ready_since : float; (* when the job last became dispatchable *)
-  mutable stats : attempt_stats list; (* latest snapshot per attempt *)
   mutable result : report option;
 }
-
-(* Replace-or-add the latest snapshot for an attempt (stats frames are
-   cumulative: only the newest per attempt counts). *)
-let record_stats j (a : attempt_stats) =
-  j.stats <-
-    a :: List.filter (fun x -> x.as_attempt <> a.as_attempt) j.stats
 
 (* The stop-reason string a worker reports, mapped back to a failure
    class (the worker saw Run.stop_reason; the wire carries its
@@ -230,7 +222,7 @@ let failure_of_stopped = function
 type t = {
   policy : policy;
   obs : Qbf_obs.Obs.t;
-  counters : Counters.t;
+  tel : Telemetry.t; (* every counter, histogram and attempt snapshot *)
   cache : Cache.t;
   rng : Random.State.t;
   jobs : jrec array;
@@ -239,15 +231,10 @@ type t = {
   mutable fork_broken : bool; (* spawn failed; stop trying *)
   interrupt : Limits.Interrupt.t option; (* batch-level Ctrl-C / SIGTERM *)
   on_report : report -> unit;
-  telemetry : Telemetry.t option; (* service-level aggregator, if attached *)
 }
 
-(* Feed the telemetry aggregator, when one is attached.  Every hook is
-   a plain function on Telemetry.t so this stays one branch when off. *)
-let tel t f = match t.telemetry with Some tel -> f tel | None -> ()
-
-(* Account one failure of [j]: on the job's report, in the summary
-   counters and in telemetry, so the three always agree. *)
+(* Account one failure of [j]: on the job's report and in the
+   registry, so the two always agree. *)
 let record_failure t j cls =
   j.last_failure <- Some cls;
   let key = Failure.to_string cls in
@@ -257,8 +244,7 @@ let record_failure t j cls =
     | kv :: rest -> kv :: bump rest
   in
   j.failures <- bump j.failures;
-  Counters.incr t.counters ("failures_" ^ key);
-  tel t (fun a -> Telemetry.on_failure a cls)
+  Telemetry.incr t.tel ("failures_" ^ key)
 
 let interrupted t =
   match t.interrupt with
@@ -284,13 +270,12 @@ let spawn_worker t =
         ()
     with
     | Ok w ->
-        Counters.incr t.counters "spawns";
-        tel t (fun a -> Telemetry.on_spawn a ~pid:w.Pool.pid);
+        Telemetry.incr t.tel "spawns";
         trace t Trace.Serve_spawn ~dlevel:w.Pool.pid ~plevel:0 ~arg:0;
         t.pool <- t.pool @ [ w ];
         Some w
     | Error msg ->
-        Counters.incr t.counters "spawn_failures";
+        Telemetry.incr t.tel "spawn_failures";
         t.fork_broken <- true;
         trace t Trace.Serve_spawn ~dlevel:0 ~plevel:0 ~arg:(-1);
         ignore msg;
@@ -313,22 +298,33 @@ let forget_worker t w =
 (* ------------------------------------------------------------------ *)
 (* Finishing jobs                                                      *)
 
+(* The report is final here: it gets the latest snapshot of every
+   attempt that shipped one. *)
 let finish t j report =
   if j.state <> Done then begin
+    let id = j.job.Protocol.id in
+    let report =
+      {
+        report with
+        r_attempt_stats =
+          List.filter_map
+            (fun attempt ->
+              Option.map
+                (fun (as_pid, as_metrics, as_profile) ->
+                  { as_attempt = attempt; as_pid; as_metrics; as_profile })
+                (Telemetry.attempt_stats t.tel ~id ~attempt))
+            (List.init j.attempts succ);
+      }
+    in
     j.state <- Done;
     j.queue <- [];
     j.result <- Some report;
-    (match report.r_outcome with
-    | ST.True | ST.False -> Counters.incr t.counters "jobs_decided"
-    | ST.Unknown ->
-        Counters.incr t.counters
-          (if report.r_error <> None then "jobs_errored" else "jobs_unknown"));
-    trace t Trace.Serve_result ~dlevel:0 ~plevel:j.attempts
-      ~arg:j.job.Protocol.id;
-    tel t (fun a ->
-        Telemetry.on_job_done a
-          ~ok:(report.r_error = None)
-          ~latency_s:report.r_wall);
+    Telemetry.on_job_done t.tel
+      (match report.r_outcome with
+      | ST.True | ST.False -> `Decided
+      | ST.Unknown -> if report.r_error <> None then `Errored else `Unknown)
+      ~latency_s:report.r_wall;
+    trace t Trace.Serve_result ~dlevel:0 ~plevel:j.attempts ~arg:id;
     t.on_report report
   end
 
@@ -352,8 +348,7 @@ let base_report j =
     r_decisions = 0;
     r_nodes = 0;
     r_proof = None;
-    r_attempt_stats =
-      List.sort (fun a b -> compare a.as_attempt b.as_attempt) j.stats;
+    r_attempt_stats = [];
   }
 
 (* Cancel every worker still racing an attempt of [j] (it lost). *)
@@ -363,7 +358,7 @@ let cancel_siblings t j =
       match w.Pool.state with
       | Pool.Busy (d, _) when d.Protocol.d_job.Protocol.id = j.job.Protocol.id
         ->
-          Counters.incr t.counters "cancelled_losers";
+          Telemetry.incr t.tel "cancelled_losers";
           trace t Trace.Serve_kill ~dlevel:w.Pool.pid ~plevel:d.Protocol.d_attempt
             ~arg:j.job.Protocol.id;
           Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w
@@ -385,8 +380,7 @@ let rec settle t j (report : report) =
         Array.iter
           (fun j' ->
             if j'.state <> Done && j'.hash = Some h then begin
-              Counters.incr t.counters "cache_hits";
-              tel t Telemetry.on_cache_hit;
+              Telemetry.incr t.tel "cache_hits";
               settle t j'
                 {
                   (base_report j') with
@@ -432,11 +426,10 @@ let attempt_failed t j cls =
           if j.round >= t.policy.retries then give_up t j
           else begin
             j.round <- j.round + 1;
-            Counters.incr t.counters "retries";
-            tel t Telemetry.on_retry;
+            Telemetry.incr t.tel "retries";
             if j.round_escalates then begin
               j.budget_mult <- j.budget_mult *. t.policy.escalate;
-              Counters.incr t.counters "budget_escalations"
+              Telemetry.incr t.tel "budget_escalations"
             end;
             j.round_escalates <- false;
             let p = t.policy in
@@ -453,6 +446,17 @@ let attempt_failed t j cls =
               ~arg:j.job.Protocol.id
           end
   end
+
+let job_of t id = Array.find_opt (fun j -> j.job.Protocol.id = id) t.jobs
+
+(* Attempt [d] ended without an answer: its job has one racer fewer,
+   and the attempt failed with [cls]. *)
+let attempt_lost t (d : Protocol.dispatch) cls =
+  match job_of t d.Protocol.d_job.Protocol.id with
+  | Some j ->
+      if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
+      attempt_failed t j cls
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ingress: load, validate, hash                                       *)
@@ -491,11 +495,10 @@ let try_cache t j =
     | Some h -> (
         match Cache.find t.cache h with
         | None ->
-            tel t Telemetry.on_cache_miss;
+            Telemetry.incr t.tel "cache_misses";
             false
         | Some e ->
-            Counters.incr t.counters "cache_hits";
-            tel t Telemetry.on_cache_hit;
+            Telemetry.incr t.tel "cache_hits";
             finish t j
               {
                 (base_report j) with
@@ -566,17 +569,15 @@ let dispatch_to t w j label =
       if j.first_dispatch = None then j.first_dispatch <- Some ts;
       j.outstanding <- j.outstanding + 1;
       w.Pool.state <- Pool.Busy (d, ts);
-      Counters.incr t.counters "dispatches";
-      tel t (fun a ->
-          Telemetry.on_dispatch a ~id:j.job.Protocol.id
-            ~attempt:d.Protocol.d_attempt ~pid:w.Pool.pid
-            ~queued_s:(ts -. j.ready_since));
+      Telemetry.on_dispatch t.tel ~id:j.job.Protocol.id
+        ~attempt:d.Protocol.d_attempt ~pid:w.Pool.pid
+        ~queued_s:(ts -. j.ready_since);
       trace t Trace.Serve_dispatch ~dlevel:w.Pool.pid ~plevel:d.Protocol.d_attempt
         ~arg:j.job.Protocol.id;
       true
   | exception (Unix.Unix_error _ | Sys_error _) ->
       j.attempts <- j.attempts - 1;
-      Counters.incr t.counters "dispatch_write_failures";
+      Telemetry.incr t.tel "dispatch_write_failures";
       Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w;
       false
 
@@ -626,7 +627,7 @@ let verify_certificate t j ~outcome proof =
   match (t.policy.proof_dir, proof) with
   | None, _ -> Ok None
   | Some _, None ->
-      Counters.incr t.counters "unwitnessed_answers";
+      Telemetry.incr t.tel "unwitnessed_answers";
       Ok None
   | Some _, Some path -> (
       let formula =
@@ -641,7 +642,7 @@ let verify_certificate t j ~outcome proof =
           | Ok v
             when List.mem (outcome = ST.True) v.Qbf_check.Checker.conclusions
             ->
-              Counters.incr t.counters "proofs_checked";
+              Telemetry.incr t.tel "proofs_checked";
               Ok (Some path)
           | Ok _ -> Error "certificate concludes the wrong outcome"
           | Error fl ->
@@ -663,10 +664,8 @@ let handle_answer t w (a : Protocol.answer) =
          && d.Protocol.d_attempt = a.Protocol.a_attempt -> (
       let label = d.Protocol.d_config in
       w.Pool.state <- Pool.Idle;
-      match
-        Array.find_opt (fun j -> j.job.Protocol.id = a.Protocol.a_id) t.jobs
-      with
-      | None -> Counters.incr t.counters "orphan_answers"
+      match job_of t a.Protocol.a_id with
+      | None -> Telemetry.incr t.tel "orphan_answers"
       | Some j ->
           if j.state <> Done then begin
             if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
@@ -678,7 +677,7 @@ let handle_answer t w (a : Protocol.answer) =
                     a.Protocol.a_proof
                 with
                 | Error _ ->
-                    Counters.incr t.counters "proofs_rejected";
+                    Telemetry.incr t.tel "proofs_rejected";
                     attempt_failed t j Failure.Garbage
                 | Ok r_proof ->
                     settle t j
@@ -700,22 +699,13 @@ let handle_answer t w (a : Protocol.answer) =
                 in
                 attempt_failed t j cls
           end)
-  | _ -> Counters.incr t.counters "stale_answers"
+  | _ -> Telemetry.incr t.tel "stale_answers"
 
 (* Garbage on a worker's stream: classify, poison the worker. *)
 let handle_garbage t w _msg =
-  Counters.incr t.counters "garbage_frames";
+  Telemetry.incr t.tel "garbage_frames";
   (match w.Pool.state with
-  | Pool.Busy (d, _) -> (
-      match
-        Array.find_opt
-          (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-          t.jobs
-      with
-      | Some j ->
-          if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
-          attempt_failed t j Failure.Garbage
-      | None -> ())
+  | Pool.Busy (d, _) -> attempt_lost t d Failure.Garbage
   | _ -> ());
   trace t Trace.Serve_kill ~dlevel:w.Pool.pid ~plevel:0 ~arg:(-1);
   Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w
@@ -747,7 +737,7 @@ let drain_worker t w =
                   when d.Protocol.d_job.Protocol.id = hb_id
                        && d.Protocol.d_attempt = hb_attempt ->
                     w.Pool.state <- Pool.Busy (d, now ());
-                    tel t (fun a -> Telemetry.on_heartbeat a ~nodes:hb_nodes)
+                    Telemetry.on_heartbeat t.tel ~nodes:hb_nodes
                 | _ -> ());
                 pull ()
             | Ok (Protocol.Msg_stats st) ->
@@ -768,24 +758,11 @@ let drain_worker t w =
                   | Some d -> matches d
                   | None -> false
                 in
-                if current || cancelled then begin
-                  tel t (fun a -> Telemetry.on_stats a ~pid:w.Pool.pid st);
-                  match
-                    Array.find_opt
-                      (fun j -> j.job.Protocol.id = st.Protocol.st_id)
-                      t.jobs
-                  with
-                  | Some j ->
-                      record_stats j
-                        {
-                          as_attempt = st.Protocol.st_attempt;
-                          as_pid = w.Pool.pid;
-                          as_metrics = st.Protocol.st_metrics;
-                          as_profile = st.Protocol.st_profile;
-                        }
-                  | None -> ()
-                end
-                else Counters.incr t.counters "stale_stats";
+                if current || cancelled then
+                  Telemetry.on_stats t.tel ~id:st.Protocol.st_id
+                    ~attempt:st.Protocol.st_attempt ~pid:w.Pool.pid
+                    st.Protocol.st_metrics st.Protocol.st_profile
+                else Telemetry.incr t.tel "stale_stats";
                 pull ()
             | Ok (Protocol.Msg_answer a) ->
                 handle_answer t w a;
@@ -796,31 +773,19 @@ let drain_worker t w =
 (* ------------------------------------------------------------------ *)
 (* Death, hangs, and the reaper                                        *)
 
+let dying w = match w.Pool.state with Pool.Dying _ -> true | _ -> false
+
 (* A worker died.  If it still owed us an answer, classify the death
    from the exit status (a 0 exit with no answer is a truncated
    stream).  Cancelled workers owe nothing. *)
 let worker_died t w status =
-  tel t (fun a ->
-      Telemetry.on_reap a ~pid:w.Pool.pid (Failure.of_process_status status));
+  Telemetry.on_reap t.tel ~dying:(dying w) status;
   (match w.Pool.state with
-  | Pool.Busy (d, _) -> (
-      let cls =
-        match Failure.of_process_status status with
-        | Some c -> c
-        | None -> Failure.Truncated
-      in
-      Counters.incr t.counters "worker_deaths";
-      match
-        Array.find_opt
-          (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-          t.jobs
-      with
-      | Some j ->
-          if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
-          attempt_failed t j cls
-      | None -> ())
-  | Pool.Dying _ -> Counters.incr t.counters "worker_deaths"
-  | Pool.Idle -> Counters.incr t.counters "worker_deaths");
+  | Pool.Busy (d, _) ->
+      attempt_lost t d
+        (Option.value ~default:Failure.Truncated
+           (Failure.of_process_status status))
+  | Pool.Dying _ | Pool.Idle -> ());
   forget_worker t w
 
 let check_hangs t =
@@ -829,18 +794,10 @@ let check_hangs t =
     (fun w ->
       match w.Pool.state with
       | Pool.Busy (d, last_beat) when ts -. last_beat > t.policy.hang_s -> (
-          Counters.incr t.counters "hangs_detected";
+          Telemetry.incr t.tel "hangs_detected";
           trace t Trace.Serve_kill ~dlevel:w.Pool.pid
             ~plevel:d.Protocol.d_attempt ~arg:d.Protocol.d_job.Protocol.id;
-          (match
-             Array.find_opt
-               (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-               t.jobs
-           with
-          | Some j ->
-              if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
-              attempt_failed t j Failure.Hang
-          | None -> ());
+          attempt_lost t d Failure.Hang;
           Pool.terminate ~now:ts ~grace_s:t.policy.grace_s w)
       | _ -> ())
     t.pool
@@ -850,7 +807,7 @@ let reap_and_respawn t ~respawn =
   List.iter
     (fun w ->
       if Pool.overdue ~now:ts w then begin
-        Counters.incr t.counters "sigkills";
+        Telemetry.incr t.tel "sigkills";
         Pool.kill_now w
       end)
     t.pool;
@@ -876,8 +833,7 @@ let reap_and_respawn t ~respawn =
    may be shared with duplicates. *)
 let solve_inline t j =
   if j.state <> Done && not (try_cache t j) then begin
-    Counters.incr t.counters "inline_solves";
-    tel t Telemetry.on_inline_solve;
+    Telemetry.incr t.tel "inline_solves";
     let ts = now () in
     j.first_dispatch <- Some ts;
     (* named before the attempt counts, as [dispatch_for] names it *)
@@ -931,24 +887,9 @@ let solve_inline t j =
         Option.iter
           (fun reason -> record_failure t j (Failure.of_stop_reason reason))
           r.Run.stopped;
-        if inline_obs <> None then begin
-          record_stats j
-            {
-              as_attempt = j.attempts;
-              as_pid = 0;
-              as_metrics = r.Run.metrics;
-              as_profile = r.Run.profile;
-            };
-          tel t (fun a ->
-              Telemetry.on_stats a ~pid:0
-                {
-                  Protocol.st_id = j.job.Protocol.id;
-                  st_attempt = j.attempts;
-                  st_final = true;
-                  st_metrics = r.Run.metrics;
-                  st_profile = r.Run.profile;
-                })
-        end;
+        if inline_obs <> None then
+          Telemetry.on_stats t.tel ~id:j.job.Protocol.id ~attempt:j.attempts
+            ~pid:0 r.Run.metrics r.Run.profile;
         let report =
           {
             (base_report j) with
@@ -970,7 +911,7 @@ let solve_inline t j =
             in
             match verify_certificate t j ~outcome:r.Run.outcome proof with
             | Error _ ->
-                Counters.incr t.counters "proofs_rejected";
+                Telemetry.incr t.tel "proofs_rejected";
                 record_failure t j Failure.Garbage;
                 give_up t j
             | Ok r_proof -> settle t j { report with r_proof }))
@@ -998,9 +939,7 @@ let shutdown t =
         (fun w ->
           match Pool.try_reap w with
           | Some status ->
-              tel t (fun a ->
-                  Telemetry.on_reap a ~pid:w.Pool.pid
-                    (Failure.of_process_status status));
+              Telemetry.on_reap t.tel ~dying:(dying w) status;
               Pool.close_fds w;
               false
           | None -> true)
@@ -1010,10 +949,7 @@ let shutdown t =
         List.iter
           (fun w ->
             Pool.kill_now w;
-            let status = Pool.reap w in
-            tel t (fun a ->
-                Telemetry.on_reap a ~pid:w.Pool.pid
-                  (Failure.of_process_status status));
+            Telemetry.on_reap t.tel ~dying:true (Pool.reap w);
             Pool.close_fds w)
           t.pool;
         t.pool <- []
@@ -1085,31 +1021,27 @@ let run_pooled t =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       check_hangs t;
       reap_and_respawn t ~respawn:(not (all_done t));
-      tel t (fun a -> Telemetry.tick a)
+      Telemetry.tick t.tel
     end
   done;
   abandon_unfinished t;
   shutdown t
 
+(* [telemetry] is the registry the batch counts into; a fresh one when
+   not given.  Pass one to attach a file sink or to read it later: the
+   summary's counts are its totals, so one registry serves one batch. *)
 let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
-    ?telemetry ?on_report jobs =
+    ?(telemetry = Telemetry.create ()) ?on_report jobs =
   let t0 = now () in
-  (match telemetry with
-  | Some a -> Telemetry.init_families a
-  | None -> ());
   (* A worker can die between select and our write to it; the EPIPE is
      handled, the signal must not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let counters = Counters.create () in
-  List.iter (fun l -> Counters.touch counters ("failures_" ^ l)) Failure.all_labels;
-  List.iter (Counters.touch counters)
-    [ "dispatches"; "retries"; "spawns"; "cache_hits"; "inline_solves" ];
   let t =
     {
       policy;
       obs;
-      counters;
+      tel = telemetry;
       cache = Cache.create ();
       rng = Random.State.make [| policy.seed; 0x5e12e |];
       jobs =
@@ -1131,7 +1063,6 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
                  failures = [];
                  first_dispatch = None;
                  ready_since = t0;
-                 stats = [];
                  result = None;
                })
              jobs);
@@ -1141,12 +1072,11 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
       interrupt;
       on_report =
         (match on_report with Some f -> f | None -> fun _ -> ());
-      telemetry;
     }
   in
   Array.iter
     (fun j ->
-      tel t Telemetry.on_job_submitted;
+      Telemetry.incr t.tel "jobs_submitted";
       ingest t j)
     t.jobs;
   if t.fork_broken then begin
@@ -1159,19 +1089,15 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
     |> List.filter_map (fun j -> j.result)
     |> List.sort (fun a b -> compare a.r_id b.r_id)
   in
-  Counters.set t.counters "cache_misses" (Cache.misses t.cache);
-  let decided =
-    List.length (List.filter (fun r -> r.r_outcome <> ST.Unknown) out)
-  in
-  let errors = List.length (List.filter (fun r -> r.r_error <> None) out) in
+  let count = Telemetry.get t.tel in
   let summary =
     {
       s_wall = now () -. t0;
       s_jobs = List.length out;
-      s_decided = decided;
-      s_unknown = List.length out - decided - errors;
-      s_errors = errors;
-      s_counters = Counters.snapshot t.counters;
+      s_decided = count "jobs_decided";
+      s_unknown = count "jobs_unknown";
+      s_errors = count "jobs_errored";
+      s_counters = Telemetry.counters t.tel;
     }
   in
   (out, summary)

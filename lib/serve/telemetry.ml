@@ -1,21 +1,22 @@
-(* Service-level telemetry: the supervisor-side aggregator.
+(* Service-level telemetry: the supervisor's one registry.
 
    Workers die — that is the design — so their in-process `lib/obs`
    registries die with them.  This module is where their statistics
-   survive: the supervisor feeds every lifecycle event (spawn, reap by
-   failure class, dispatch, retry, cache hit/miss, heartbeat) and every
-   worker-shipped stats frame into one aggregator, which merges them
-   into service-level series:
+   survive, and where the supervisor counts its own events: every
+   lifecycle event (spawn, reap, dispatch, retry, cache probe,
+   heartbeat, settled job, failure class) has one named cell here, and
+   the batch summary, the JSON document and the Prometheus text all
+   read the same cells.  It keeps:
 
+   - counters, whose worker-lifecycle terms obey
+       spawns = reaped_clean + reaped_crash + reaped_signal
+                + reaped_oom + reaped_terminated
+     (every spawned pid is accounted for by exactly one reap class) and
+     whose job terms obey submitted = decided + unknown + errored;
    - per-job latency and queue-wait log2 histograms;
-   - retry and failure-class counters (classes from Qbf_run.Failure);
-   - cache hit/miss counters;
-   - worker lifecycle counters obeying the reconciliation invariant
-       spawned = reaped_clean + reaped_crash + reaped_signal + reaped_oom
-     (every spawned pid is accounted for by exactly one reap class);
-   - merged engine metrics (backjump/decision-depth histograms, counter
-     sums) and merged phase profiles across all worker attempts;
-   - progress rate from heartbeat node deltas;
+   - the latest engine-metrics and phase-profile snapshot of every
+     attempt, merged into service-level series at dump time;
+   - progress from heartbeat node deltas;
    - correlation ids (job id, attempt, pid) linking each aggregated
      attempt back to per-worker JSONL trace files.
 
@@ -23,31 +24,29 @@
    machine-readable artifact qtop and trace_stat consume) and
    Prometheus text (qubed_* metric families) for scrapeability.  A
    sink + interval can be attached so a long-lived service rewrites
-   both files periodically from its select loop.
-
-   Worker stats frames are cumulative snapshots of the same attempt, so
-   the aggregator keeps only the latest per (job id, attempt) and merges
-   them all at dump time — never incrementally, which would double
-   count. *)
+   both files periodically from its select loop. *)
 
 module Json = Qbf_obs.Json
 module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
+module Failure = Qbf_run.Failure
 
 let schema = "qubed-telemetry"
-let schema_version = 1
+let schema_version = 2
 
 (* ------------------------------------------------------------------ *)
-(* Aggregator state                                                    *)
+(* Registry state                                                      *)
 
 type t = {
   started_at : float;
   counters : (string, int ref) Hashtbl.t;
   latency_h : Metrics.hist; (* per-job wall time, ms *)
   queue_wait_h : Metrics.hist; (* dispatch delay from ready to worker, ms *)
-  attempt_stats : (int * int, Protocol.stats * int) Hashtbl.t;
-      (* (job id, attempt) -> latest stats frame + pid: cumulative
-         snapshots, so only the newest per key counts *)
+  attempts :
+    (int * int, int * Metrics.snapshot option * Profile.snapshot option)
+    Hashtbl.t;
+      (* (job id, attempt) -> pid and latest snapshots: worker stats
+         frames are cumulative, so only the newest per key counts *)
   mutable correlations : (int * int * int) list;
       (* (job id, attempt, pid), newest first *)
   mutable hb_nodes : int; (* nodes reported over all heartbeats *)
@@ -56,13 +55,26 @@ type t = {
   mutable last_write : float;
 }
 
+(* Present from the start, so a quiet run still shows every
+   reconciliation term (a missing counter and a zero counter must read
+   the same); other counters appear on their first event. *)
+let families =
+  [ "spawns"; "dispatches"; "retries"; "cache_hits"; "cache_misses";
+    "inline_solves"; "heartbeats"; "stats_frames"; "jobs_submitted";
+    "jobs_decided"; "jobs_unknown"; "jobs_errored" ]
+  @ List.map (( ^ ) "workers_reaped_")
+      [ "clean"; "crash"; "signal"; "oom"; "terminated" ]
+  @ List.map (( ^ ) "failures_") Failure.all_labels
+
 let create ?(now = Unix.gettimeofday ()) () =
+  let counters = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace counters n (ref 0)) families;
   {
     started_at = now;
-    counters = Hashtbl.create 32;
+    counters;
     latency_h = Metrics.hist_create ();
     queue_wait_h = Metrics.hist_create ();
-    attempt_stats = Hashtbl.create 64;
+    attempts = Hashtbl.create 64;
     correlations = [];
     hb_nodes = 0;
     sink = None;
@@ -70,121 +82,85 @@ let create ?(now = Unix.gettimeofday ()) () =
     last_write = now;
   }
 
-let counter t name =
+let incr t name =
   match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
+  | Some r -> r := !r + 1
+  | None -> Hashtbl.add t.counters name (ref 1)
 
-let bump ?(by = 1) t name = counter t name := !(counter t name) + by
-let get t name = match Hashtbl.find_opt t.counters name with
-  | Some r -> !r
-  | None -> 0
+let get t name =
+  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-(* Touch the lifecycle families up front so a telemetry file from a
-   quiet run still shows every reconciliation term (a missing counter
-   and a zero counter must read the same). *)
-let lifecycle_names =
-  [ "workers_spawned"; "workers_reaped_clean"; "workers_reaped_crash";
-    "workers_reaped_signal"; "workers_reaped_oom" ]
-
-let init_families t =
-  List.iter (fun n -> ignore (counter t n)) lifecycle_names;
-  List.iter
-    (fun n -> ignore (counter t n))
-    [ "jobs_submitted"; "jobs_completed"; "jobs_failed"; "attempts_dispatched";
-      "retries"; "cache_hits"; "cache_misses"; "heartbeats"; "stats_frames";
-      "inline_solves" ];
-  List.iter
-    (fun label -> ignore (counter t ("failures_" ^ label)))
-    Qbf_run.Failure.all_labels
+(* Every counter, sorted by name. *)
+let counters t =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Event hooks (called by the supervisor; plain arguments only, so this
+(* Events that carry more than a count (plain arguments only, so this
    module never depends on Supervisor's types)                          *)
 
-let on_spawn t ~pid:_ = bump t "workers_spawned"
-
-(* [failure = None] is a clean exit; the classes mirror
-   Failure.of_process_status so the reconciliation terms line up with
-   the supervisor's own failure accounting. *)
-let on_reap t ~pid:_ (failure : Qbf_run.Failure.t option) =
-  let cls =
-    match failure with
-    | None -> "clean"
-    | Some Qbf_run.Failure.Oom -> "oom"
-    | Some (Qbf_run.Failure.Signalled _) -> "signal"
-    | Some _ -> "crash"
-  in
-  bump t ("workers_reaped_" ^ cls)
-
-let on_job_submitted t = bump t "jobs_submitted"
+let ms s = int_of_float (Float.max 0. (s *. 1000.))
 
 let on_dispatch t ~id ~attempt ~pid ~queued_s =
-  bump t "attempts_dispatched";
-  Metrics.hist_add t.queue_wait_h
-    (int_of_float (Float.max 0. (queued_s *. 1000.)));
+  incr t "dispatches";
+  Metrics.hist_add t.queue_wait_h (ms queued_s);
   t.correlations <- (id, attempt, pid) :: t.correlations
 
-let on_retry t = bump t "retries"
-
-let on_failure t (f : Qbf_run.Failure.t) =
-  bump t ("failures_" ^ Qbf_run.Failure.to_string f)
-
-let on_cache_hit t = bump t "cache_hits"
-let on_cache_miss t = bump t "cache_misses"
+(* [dying]: the supervisor had signalled this worker (a race loser, a
+   hang or garbage victim, shutdown), so its own SIGTERM or SIGKILL is
+   a termination, not a crash or an OOM kill.  The other classes
+   mirror Failure.of_process_status. *)
+let on_reap t ~dying status =
+  let cls =
+    match (status, Failure.of_process_status status) with
+    | Unix.WSIGNALED s, _ when dying && (s = Sys.sigterm || s = Sys.sigkill) ->
+        "terminated"
+    | _, None -> "clean"
+    | _, Some Failure.Oom -> "oom"
+    | _, Some (Failure.Signalled _) -> "signal"
+    | _, Some _ -> "crash"
+  in
+  incr t ("workers_reaped_" ^ cls)
 
 let on_heartbeat t ~nodes =
-  bump t "heartbeats";
+  incr t "heartbeats";
   t.hb_nodes <- t.hb_nodes + nodes
 
-let on_stats t ~pid (st : Protocol.stats) =
-  bump t "stats_frames";
-  Hashtbl.replace t.attempt_stats (st.Protocol.st_id, st.Protocol.st_attempt)
-    (st, pid)
+(* The latest snapshots of one attempt: a worker's stats frame, or the
+   in-process solve's own collector (pid 0). *)
+let on_stats t ~id ~attempt ~pid metrics profile =
+  incr t "stats_frames";
+  Hashtbl.replace t.attempts (id, attempt) (pid, metrics, profile)
 
-let on_inline_solve t = bump t "inline_solves"
+let attempt_stats t ~id ~attempt = Hashtbl.find_opt t.attempts (id, attempt)
 
-(* A job settled: [ok] when it produced a report, latency from
-   submission to settlement. *)
-let on_job_done t ~ok ~latency_s =
-  bump t (if ok then "jobs_completed" else "jobs_failed");
-  Metrics.hist_add t.latency_h
-    (int_of_float (Float.max 0. (latency_s *. 1000.)))
+(* A job settled as [`Decided], [`Unknown] or [`Errored], [latency_s]
+   after its first dispatch. *)
+let on_job_done t settled ~latency_s =
+  incr t
+    (match settled with
+    | `Decided -> "jobs_decided"
+    | `Unknown -> "jobs_unknown"
+    | `Errored -> "jobs_errored");
+  Metrics.hist_add t.latency_h (ms latency_s)
 
 (* ------------------------------------------------------------------ *)
 (* Merged views                                                        *)
 
-let merged_engine t =
+let merged pick merge t =
   Hashtbl.fold
-    (fun _ (st, _pid) acc ->
-      match st.Protocol.st_metrics with
-      | None -> acc
-      | Some m -> (
-          match acc with
-          | None -> Some m
-          | Some acc -> Some (Metrics.merge_snapshot acc m)))
-    t.attempt_stats None
+    (fun _ a acc ->
+      match (pick a, acc) with
+      | None, acc -> acc
+      | Some s, None -> Some s
+      | Some s, Some acc -> Some (merge acc s))
+    t.attempts None
 
-let merged_profile t =
-  Hashtbl.fold
-    (fun _ (st, _pid) acc ->
-      match st.Protocol.st_profile with
-      | None -> acc
-      | Some p -> (
-          match acc with
-          | None -> Some p
-          | Some acc -> Some (Profile.merge_snapshot acc p)))
-    t.attempt_stats None
+let merged_engine = merged (fun (_, m, _) -> m) Metrics.merge_snapshot
+let merged_profile = merged (fun (_, _, p) -> p) Profile.merge_snapshot
 
 (* ------------------------------------------------------------------ *)
 (* JSON exposition                                                     *)
-
-let sorted_counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let to_json ?(now = Unix.gettimeofday ()) t =
   let correlations =
@@ -201,8 +177,7 @@ let to_json ?(now = Unix.gettimeofday ()) t =
       ("v", Json.Int schema_version);
       ("uptime_s", Json.Float (now -. t.started_at));
       ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (sorted_counters t))
-      );
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
       ("hb_nodes", Json.Int t.hb_nodes);
       ("latency_ms", Metrics.hist_to_json (Metrics.hist_snapshot t.latency_h));
       ( "queue_wait_ms",
@@ -223,40 +198,29 @@ let to_json ?(now = Unix.gettimeofday ()) t =
 
 let to_prometheus ?(now = Unix.gettimeofday ()) t =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "# TYPE qubed_uptime_seconds gauge\nqubed_uptime_seconds %.3f\n"
-       (now -. t.started_at));
+  Metrics.prom_family buf ~name:"qubed_uptime_seconds" ~typ:"gauge"
+    [ ([], now -. t.started_at) ];
   List.iter
     (fun (k, v) ->
-      let name = "qubed_" ^ k ^ "_total" in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name v))
-    (sorted_counters t);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# TYPE qubed_heartbeat_nodes_total counter\nqubed_heartbeat_nodes_total %d\n"
-       t.hb_nodes);
+      Metrics.prom_family buf ~name:("qubed_" ^ k ^ "_total") ~typ:"counter"
+        [ ([], float_of_int v) ])
+    (counters t);
+  Metrics.prom_family buf ~name:"qubed_heartbeat_nodes_total" ~typ:"counter"
+    [ ([], float_of_int t.hb_nodes) ];
   Metrics.prom_hist buf ~name:"qubed_job_latency_ms"
     (Metrics.hist_snapshot t.latency_h);
   Metrics.prom_hist buf ~name:"qubed_queue_wait_ms"
     (Metrics.hist_snapshot t.queue_wait_h);
-  (match merged_engine t with
-  | None -> ()
-  | Some m ->
-      Buffer.add_string buf (Metrics.snapshot_to_prometheus ~prefix:"qubed_engine_" m));
-  (match merged_profile t with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun sp ->
-          let l = [ ("phase", sp.Profile.phase) ] in
-          let add name v typ =
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
-            Metrics.prom_sample buf ~name ~labels:l v
-          in
-          add "qubed_profile_calls_total" (float_of_int sp.Profile.calls) "counter";
-          add "qubed_profile_wall_seconds_total" sp.Profile.wall_s "counter";
-          add "qubed_profile_cpu_seconds_total" sp.Profile.cpu_s "counter")
-        p);
+  Option.iter
+    (fun m ->
+      Buffer.add_string buf
+        (Metrics.snapshot_to_prometheus ~prefix:"qubed_engine_" m))
+    (merged_engine t);
+  Option.iter
+    (fun p ->
+      Buffer.add_string buf
+        (Profile.snapshot_to_prometheus ~prefix:"qubed_profile_" p))
+    (merged_profile t);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -310,43 +274,43 @@ let check_json j =
                  schema_version)
     | _ -> Error "missing schema/v"
   in
-  let* spawned = counter "workers_spawned" in
+  let* spawns = counter "spawns" in
   let* clean = counter "workers_reaped_clean" in
   let* crash = counter "workers_reaped_crash" in
   let* signal = counter "workers_reaped_signal" in
   let* oom = counter "workers_reaped_oom" in
+  let* terminated = counter "workers_reaped_terminated" in
   let* () =
-    if spawned = clean + crash + signal + oom then Ok ()
+    if spawns = clean + crash + signal + oom + terminated then Ok ()
     else
       Error
         (Printf.sprintf
-           "lifecycle does not reconcile: spawned %d <> clean %d + crash %d + \
-            signal %d + oom %d"
-           spawned clean crash signal oom)
+           "lifecycle does not reconcile: spawns %d <> clean %d + crash %d + \
+            signal %d + oom %d + terminated %d"
+           spawns clean crash signal oom terminated)
   in
   let* submitted = counter "jobs_submitted" in
-  let* completed = counter "jobs_completed" in
-  let* failed = counter "jobs_failed" in
+  let* decided = counter "jobs_decided" in
+  let* unknown = counter "jobs_unknown" in
+  let* errored = counter "jobs_errored" in
+  let settled = decided + unknown + errored in
   let* () =
-    if submitted = completed + failed then Ok ()
+    if submitted = settled then Ok ()
     else
       Error
-        (Printf.sprintf "jobs do not reconcile: submitted %d <> done %d + failed %d"
-           submitted completed failed)
+        (Printf.sprintf
+           "jobs do not reconcile: submitted %d <> decided %d + unknown %d + \
+            errored %d"
+           submitted decided unknown errored)
   in
   (* the latency histogram must account for exactly the settled jobs *)
-  let* () =
-    match Json.member "latency_ms" j with
-    | None -> Error "missing latency_ms histogram"
-    | Some h -> (
-        match Metrics.hist_of_json h with
-        | Error m -> Error ("latency_ms: " ^ m)
-        | Ok hs ->
-            if hs.Metrics.count = completed + failed then Ok ()
-            else
-              Error
-                (Printf.sprintf
-                   "latency histogram count %d <> settled jobs %d"
-                   hs.Metrics.count (completed + failed)))
-  in
-  Ok ()
+  match Json.member "latency_ms" j with
+  | None -> Error "missing latency_ms histogram"
+  | Some h -> (
+      match Metrics.hist_of_json h with
+      | Error m -> Error ("latency_ms: " ^ m)
+      | Ok hs when hs.Metrics.count = settled -> Ok ()
+      | Ok hs ->
+          Error
+            (Printf.sprintf "latency histogram count %d <> settled jobs %d"
+               hs.Metrics.count settled))

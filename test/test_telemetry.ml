@@ -1,9 +1,10 @@
 (* Service telemetry (Qbf_serve.Telemetry + the obs snapshot algebra):
    snapshot merging must be associative and commutative, the Prometheus
    encoders must emit grammatically valid text exposition, stats frames
-   must roundtrip the wire, and a fault-injected supervised batch must
+   must roundtrip the wire, a fixed event sequence must give a committed
+   exposition exactly, and a fault-injected supervised batch must
    produce telemetry whose worker-lifecycle counters account for every
-   spawned worker. *)
+   spawned worker and equal the batch summary's. *)
 
 module ST = Qbf_solver.Solver_types
 module Json = Qbf_obs.Json
@@ -131,25 +132,28 @@ let test_prometheus_grammar () =
   (match Metrics.prom_check_text text with
   | Ok () -> ()
   | Error m -> Alcotest.failf "engine exposition fails grammar: %s" m);
-  (* the aggregator's full exposition too, including label escaping *)
+  (* the registry's full exposition too, including label escaping and
+     a profile of two phases, whose families get one # TYPE line each *)
   let t = Telemetry.create () in
-  Telemetry.init_families t;
-  Telemetry.on_spawn t ~pid:42;
+  Telemetry.incr t "spawns";
   Telemetry.on_dispatch t ~id:0 ~attempt:1 ~pid:42 ~queued_s:0.003;
-  Telemetry.on_stats t ~pid:42
-    {
-      Protocol.st_id = 0;
-      st_attempt = 1;
-      st_final = true;
-      st_metrics = Some s;
-      st_profile =
-        Some [ { Profile.phase = "solve"; calls = 1; wall_s = 0.1; cpu_s = 0.1 } ];
-    };
-  Telemetry.on_job_done t ~ok:true ~latency_s:0.05;
-  Telemetry.on_reap t ~pid:42 None;
-  match Metrics.prom_check_text (Telemetry.to_prometheus t) with
+  Telemetry.on_stats t ~id:0 ~attempt:1 ~pid:42 (Some s)
+    (Some
+       [ { Profile.phase = "propagate"; calls = 3; wall_s = 0.05; cpu_s = 0.05 };
+         { Profile.phase = "solve"; calls = 1; wall_s = 0.1; cpu_s = 0.1 } ]);
+  Telemetry.on_job_done t `Decided ~latency_s:0.05;
+  Telemetry.on_reap t ~dying:false (Unix.WEXITED 0);
+  let text = Telemetry.to_prometheus t in
+  (match Metrics.prom_check_text text with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "telemetry exposition fails grammar: %s" m
+  | Error m -> Alcotest.failf "telemetry exposition fails grammar: %s" m);
+  let types =
+    List.filter
+      (String.starts_with ~prefix:"# TYPE ")
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check int) "one # TYPE line per family" (List.length types)
+    (List.length (List.sort_uniq compare types))
 
 let test_prometheus_grammar_rejects () =
   List.iter
@@ -158,7 +162,16 @@ let test_prometheus_grammar_rejects () =
       | Ok () -> Alcotest.failf "grammar accepted %S" bad
       | Error _ -> ())
     [ "9metric 1"; "m{=\"v\"} 1"; "m{l=\"unterminated} 1"; "m"; "m 1 2 3";
-      "m not-a-number" ]
+      "m not-a-number" ];
+  (* well-formed lines, but families that break the text format *)
+  List.iter
+    (fun bad ->
+      match Metrics.prom_check_text bad with
+      | Ok () -> Alcotest.failf "exposition accepted %S" bad
+      | Error _ -> ())
+    [ "# TYPE m counter\nm{p=\"a\"} 1\n# TYPE m counter\nm{p=\"b\"} 2\n";
+      "# TYPE a counter\na{p=\"x\"} 1\n# TYPE b counter\nb 1\na{p=\"y\"} 2\n";
+      "m 1\n# TYPE m counter\n" ]
 
 (* ------------------------------------------------------------------ *)
 (* Wire roundtrip *)
@@ -237,24 +250,45 @@ let run_with_telemetry ~fault_p ~seed texts =
       seed;
     }
   in
-  let reports, _ = Supervisor.run ~policy ~telemetry:tel (inline_jobs texts) in
-  (tel, reports)
+  let reports, summary =
+    Supervisor.run ~policy ~telemetry:tel (inline_jobs texts)
+  in
+  (tel, reports, summary)
+
+let json_counters tel =
+  match Json.member "counters" (Telemetry.to_json tel) with
+  | Some (Json.Obj kvs) ->
+      List.map
+        (fun (k, v) -> (k, Option.value ~default:(-1) (Json.to_int_opt v)))
+        kvs
+  | _ -> Alcotest.fail "telemetry has no counters object"
+
+let counter tel name =
+  Option.value ~default:0 (List.assoc_opt name (json_counters tel))
 
 let test_clean_batch_reconciles () =
-  let tel, reports =
+  let tel, reports, _ =
     run_with_telemetry ~fault_p:0.0 ~seed:1 [ true_qbf; false_qbf ]
   in
   Alcotest.(check int) "both reported" 2 (List.length reports);
-  match Telemetry.check_json (Telemetry.to_json tel) with
+  (match Telemetry.check_json (Telemetry.to_json tel) with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "clean-run telemetry invalid: %s" m
+  | Error m -> Alcotest.failf "clean-run telemetry invalid: %s" m);
+  (* job 0 is raced on both workers; the loser dies of the supervisor's
+     own SIGTERM (or SIGKILL after the grace period), which is neither
+     a crash signal nor an OOM kill *)
+  Alcotest.(check int) "no signal deaths" 0
+    (counter tel "workers_reaped_signal");
+  Alcotest.(check int) "no OOM kills" 0 (counter tel "workers_reaped_oom");
+  Alcotest.(check bool) "race losers terminated" true
+    (counter tel "workers_reaped_terminated" >= 1)
 
 let test_faulty_batch_reconciles () =
-  (* the acceptance criterion: under 0.3 injected faults, spawned =
-     clean + crash + signal + oom exactly, and the latency histogram
-     accounts for every settled job — validated by the same check qtop
-     --check runs *)
-  let tel, reports =
+  (* the acceptance criterion: under 0.3 injected faults, spawns =
+     clean + crash + signal + oom + terminated exactly, and the latency
+     histogram accounts for every settled job — validated by the same
+     check qtop --check runs *)
+  let tel, reports, summary =
     run_with_telemetry ~fault_p:0.3 ~seed:5
       [ true_qbf; false_qbf; true_qbf; false_qbf ]
   in
@@ -263,19 +297,15 @@ let test_faulty_batch_reconciles () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "faulty-run telemetry invalid: %s" m);
   (* chaos actually happened and was accounted as non-clean reaps *)
-  let j = Telemetry.to_json tel in
-  let counter name =
-    match
-      Option.bind (Json.member "counters" j) (fun c ->
-          Option.bind (Json.member name c) Json.to_int_opt)
-    with
-    | Some n -> n
-    | None -> 0
-  in
-  Alcotest.(check bool) "workers were spawned" true
-    (counter "workers_spawned" > 0);
+  Alcotest.(check bool) "workers were spawned" true (counter tel "spawns" > 0);
   Alcotest.(check bool) "merged engine stats present" true
-    (Json.member "engine" j <> Some Json.Null)
+    (Json.member "engine" (Telemetry.to_json tel) <> Some Json.Null);
+  (* one registry: the summary and the document read the same cells *)
+  let sorted = List.sort compare in
+  Alcotest.(check (list (pair string int)))
+    "summary counters = telemetry counters"
+    (sorted summary.Supervisor.s_counters)
+    (sorted (json_counters tel))
 
 let test_input_failures_reach_telemetry () =
   (* an unparsable job fails at ingest; a valid one whose certificate
@@ -296,36 +326,82 @@ let test_input_failures_reach_telemetry () =
       (inline_jobs [ "p cnf garbage header"; false_qbf ])
   in
   Sys.remove not_a_dir;
-  let telemetry_count =
-    Option.bind
-      (Json.member "counters" (Telemetry.to_json tel))
-      (fun c -> Option.bind (Json.member "failures_input" c) Json.to_int_opt)
-  in
   Alcotest.(check (option int)) "summary counts both" (Some 2)
     (List.assoc_opt "failures_input" summary.Supervisor.s_counters);
-  Alcotest.(check (option int)) "telemetry agrees with the summary" (Some 2)
-    telemetry_count
+  Alcotest.(check int) "telemetry agrees with the summary" 2
+    (counter tel "failures_input")
 
 let test_check_catches_lost_worker () =
   (* a spawn without a matching reap must fail validation *)
   let tel = Telemetry.create () in
-  Telemetry.init_families tel;
-  Telemetry.on_spawn tel ~pid:1;
+  Telemetry.incr tel "spawns";
   match Telemetry.check_json (Telemetry.to_json tel) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "lost worker passed reconciliation"
 
 let test_per_attempt_stats_in_reports () =
-  let tel, reports =
+  let _, reports, _ =
     run_with_telemetry ~fault_p:0.0 ~seed:2 [ true_qbf ]
   in
-  ignore tel;
   let r = List.hd reports in
   Alcotest.(check bool) "report carries attempt stats" true
     (r.Supervisor.r_attempt_stats <> []);
   let a = List.hd r.Supervisor.r_attempt_stats in
   Alcotest.(check bool) "attempt stats carry metrics" true
     (a.Supervisor.as_metrics <> None)
+
+(* ------------------------------------------------------------------ *)
+(* Golden exposition *)
+
+(* A fixed event sequence at fixed times: two jobs, one raced on two
+   workers (the loser killed), one answered from the cache. *)
+let golden_registry () =
+  let t = Telemetry.create ~now:100. () in
+  let engine =
+    let m = Metrics.create () in
+    Metrics.on_decision m ~plevel:0 ~dlevel:1;
+    Metrics.on_decision m ~plevel:1 ~dlevel:2;
+    Metrics.on_propagation m;
+    Metrics.on_conflict m;
+    Metrics.on_backjump m ~from_level:2 ~to_level:0;
+    Metrics.on_learn_clause m ~size:3;
+    Metrics.snapshot m
+  in
+  let span phase calls wall_s =
+    { Profile.phase; calls; wall_s; cpu_s = wall_s /. 2. }
+  in
+  Telemetry.incr t "jobs_submitted";
+  Telemetry.incr t "jobs_submitted";
+  Telemetry.incr t "spawns";
+  Telemetry.incr t "spawns";
+  Telemetry.incr t "cache_misses";
+  Telemetry.on_dispatch t ~id:0 ~attempt:1 ~pid:41 ~queued_s:0.002;
+  Telemetry.on_dispatch t ~id:0 ~attempt:2 ~pid:42 ~queued_s:0.004;
+  Telemetry.on_heartbeat t ~nodes:17;
+  Telemetry.on_stats t ~id:0 ~attempt:1 ~pid:41 (Some engine)
+    (Some [ span "propagate" 5 0.25; span "solve" 1 0.5 ]);
+  Telemetry.on_stats t ~id:0 ~attempt:2 ~pid:42 None
+    (Some [ span "solve" 1 0.125 ]);
+  Telemetry.on_job_done t `Decided ~latency_s:0.5;
+  Telemetry.incr t "cancelled_losers";
+  Telemetry.incr t "cache_hits";
+  Telemetry.on_job_done t `Decided ~latency_s:0.;
+  Telemetry.on_reap t ~dying:true (Unix.WSIGNALED Sys.sigterm);
+  Telemetry.on_reap t ~dying:false (Unix.WEXITED 0);
+  t
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_exposition () =
+  let t = golden_registry () in
+  let json = Json.to_string (Telemetry.to_json ~now:102.5 t) ^ "\n" in
+  Alcotest.(check string) "JSON" (read_file "golden/telemetry.json") json;
+  Alcotest.(check string) "Prometheus"
+    (read_file "golden/telemetry.prom")
+    (Telemetry.to_prometheus ~now:102.5 t);
+  match Telemetry.check_json (Telemetry.to_json ~now:102.5 t) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "golden registry does not reconcile: %s" m
 
 let suite =
   [
@@ -356,4 +432,5 @@ let suite =
       test_check_catches_lost_worker;
     Alcotest.test_case "reports carry per-attempt stats" `Quick
       test_per_attempt_stats_in_reports;
+    Alcotest.test_case "golden exposition" `Quick test_golden_exposition;
   ]

@@ -10,10 +10,12 @@
    of the merged engine metrics.  --watch S re-reads and re-renders
    every S seconds until interrupted — `top` for the solving service.
    --check validates instead of rendering: schema, lifecycle
-   reconciliation (spawned = clean + crash + signal + oom), latency
+   reconciliation (spawns = clean + crash + signal + oom + terminated),
+   job reconciliation (submitted = decided + unknown + errored), latency
    histogram consistency, and — when FILE.prom exists — the Prometheus
-   line grammar of the text exposition; exits nonzero on the first
-   violation, which is what CI runs. *)
+   text exposition (line grammar, one # TYPE line per family, contiguous
+   samples); exits nonzero on the first violation, which is what CI
+   runs. *)
 
 module Json = Qbf_obs.Json
 module Metrics = Qbf_obs.Metrics
@@ -57,12 +59,12 @@ let render j =
   let uptime =
     match member_float "uptime_s" j with Some u -> u | None -> 0.
   in
-  let completed = counter j "jobs_completed" in
-  let failed = counter j "jobs_failed" in
-  let submitted = counter j "jobs_submitted" in
-  Printf.printf "uptime %.1fs   jobs %d/%d settled (%d failed)   %.1f jobs/s\n"
-    uptime (completed + failed) submitted failed
-    (if uptime > 0. then float_of_int (completed + failed) /. uptime else 0.);
+  let unknown = counter j "jobs_unknown" and errored = counter j "jobs_errored" in
+  let settled = counter j "jobs_decided" + unknown + errored in
+  Printf.printf
+    "uptime %.1fs   jobs %d/%d settled (%d unknown, %d errored)   %.1f jobs/s\n"
+    uptime settled (counter j "jobs_submitted") unknown errored
+    (if uptime > 0. then float_of_int settled /. uptime else 0.);
   (match hist j "latency_ms" with
   | Some h when h.Metrics.count > 0 ->
       Printf.printf
@@ -78,14 +80,15 @@ let render j =
         (Metrics.hist_percentile h 0.95)
         h.Metrics.count
   | _ -> ());
-  let spawned = counter j "workers_spawned" in
   Printf.printf
-    "workers   spawned %d = clean %d + crash %d + signal %d + oom %d\n"
-    spawned
+    "workers   spawned %d = clean %d + crash %d + signal %d + oom %d + \
+     terminated %d\n"
+    (counter j "spawns")
     (counter j "workers_reaped_clean")
     (counter j "workers_reaped_crash")
     (counter j "workers_reaped_signal")
-    (counter j "workers_reaped_oom");
+    (counter j "workers_reaped_oom")
+    (counter j "workers_reaped_terminated");
   let failures =
     List.filter_map
       (fun label ->
