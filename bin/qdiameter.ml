@@ -15,7 +15,6 @@
 open Cmdliner
 module ST = Qbf_solver.Solver_types
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
 
 let run model_name style max_n timeout bfs verbose profile_on
@@ -55,7 +54,7 @@ let run model_name style max_n timeout bfs verbose profile_on
   let obs =
     if profile_on then
       Some
-        (Obs.make ~metrics:(Metrics.create ()) ~profile:(Profile.create ()) ())
+        (Obs.make ~profile:(Profile.create ()) ())
     else None
   in
   let config =
@@ -105,14 +104,13 @@ let run model_name style max_n timeout bfs verbose profile_on
         (Unix.gettimeofday () -. t0));
   (match obs with
   | Some o when o.Obs.profile_on ->
-      let m = Metrics.snapshot o.Obs.metrics in
+      let c name =
+        Option.value ~default:0 (List.assoc_opt name (Obs.counters o))
+      in
       Printf.printf "\nprofile (all lengths combined):\n%s"
         (Profile.render_table (Profile.snapshot o.Obs.profile));
       Printf.printf "decisions %d  propagations %d  conflicts %d  solutions %d\n"
-        (List.assoc "decisions" m.Metrics.counters)
-        (List.assoc "propagations" m.Metrics.counters)
-        (List.assoc "conflicts" m.Metrics.counters)
-        (List.assoc "solutions" m.Metrics.counters)
+        (c "decisions") (c "propagations") (c "conflicts") (c "solutions")
   | _ -> ());
   if bfs then
     match Qbf_models.Reach.diameter model with

@@ -54,25 +54,14 @@ let strategy_of_name name =
    the result line, the JSON status and qubed's wire format agree. *)
 module Outcome = Qbf_solver.Outcome
 
-(* The complete stats record.  Every key is always present, so the JSON
-   shape is identical on conclusive, timeout, interrupt and memory-cap
-   exits alike — consumers can rely on the full key set. *)
+(* The complete stats record: the engine's counters, under the names its
+   metrics snapshot uses, and the decision-level high-water mark.  Every
+   key is always present, so the JSON shape is identical on conclusive,
+   timeout, interrupt and memory-cap exits alike. *)
 let json_of_stats (s : ST.stats) =
   Json.Obj
-    [
-      ("decisions", Json.Int s.ST.decisions);
-      ("propagations", Json.Int s.ST.propagations);
-      ("pure_assignments", Json.Int s.ST.pure_assignments);
-      ("conflicts", Json.Int s.ST.conflicts);
-      ("solutions", Json.Int s.ST.solutions);
-      ("learned_clauses", Json.Int s.ST.learned_clauses);
-      ("learned_cubes", Json.Int s.ST.learned_cubes);
-      ("backjumps", Json.Int s.ST.backjumps);
-      ("chrono_fallbacks", Json.Int s.ST.chrono_fallbacks);
-      ("max_decision_level", Json.Int s.ST.max_decision_level);
-      ("restarts_done", Json.Int s.ST.restarts_done);
-      ("deleted_constraints", Json.Int s.ST.deleted_constraints);
-    ]
+    (List.map (fun (k, v) -> (k, Json.Int v)) (ST.counters s)
+    @ [ ("max_decision_level", Json.Int s.ST.max_decision_level) ])
 
 let json_of_witness = function
   | ST.No_witness -> Json.Null

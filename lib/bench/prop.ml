@@ -24,7 +24,6 @@
 module ST = Qbf_solver.Solver_types
 module D = Qbf_models.Diameter
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
 module Limits = Qbf_run.Limits
 
@@ -47,7 +46,7 @@ let engine_props_per_sec r =
 
 let run ?(timeout_s = 60.) ?(max_n = 64) model =
   let deadline = Limits.Deadline.after timeout_s in
-  let obs = Obs.make ~metrics:(Metrics.create ()) ~profile:(Profile.create ()) () in
+  let obs = Obs.make ~profile:(Profile.create ()) () in
   let config =
     ST.(
       default_config
@@ -60,9 +59,8 @@ let run ?(timeout_s = 60.) ?(max_n = 64) model =
   let t0 = Unix.gettimeofday () in
   let report = D.compute_report ~config ~max_n ~mode:`Incremental model in
   let time_s = Unix.gettimeofday () -. t0 in
-  let m = Metrics.snapshot obs.Obs.metrics in
   let counter name =
-    try List.assoc name m.Metrics.counters with Not_found -> 0
+    Option.value ~default:0 (List.assoc_opt name (Obs.counters obs))
   in
   let phase_wall name =
     List.fold_left
@@ -110,7 +108,7 @@ let db_agree r =
 
 let run_db_engine ~timeout_s ~max_n ~reduce model =
   let deadline = Limits.Deadline.after timeout_s in
-  let obs = Obs.make ~metrics:(Metrics.create ()) () in
+  let obs = Obs.make () in
   let config =
     ST.(
       default_config
@@ -126,9 +124,8 @@ let run_db_engine ~timeout_s ~max_n ~reduce model =
   let t0 = Unix.gettimeofday () in
   let db_report = D.compute_report ~config ~max_n ~mode:`Incremental model in
   let db_time_s = Unix.gettimeofday () -. t0 in
-  let m = Metrics.snapshot obs.Obs.metrics in
   let counter name =
-    try List.assoc name m.Metrics.counters with Not_found -> 0
+    Option.value ~default:0 (List.assoc_opt name (Obs.counters obs))
   in
   {
     db_report;

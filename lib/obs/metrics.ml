@@ -1,8 +1,11 @@
-(* Metrics registry: named counters, gauges and histograms with O(1)
-   hot-path updates.  The hot path works on a preallocated record of
-   mutable ints — no closures, no hashing, no allocation per event; the
-   *registry* view (stable names, snapshot, JSON) is only materialised
-   when a snapshot is taken.
+(* Metrics registry: the distributions of a search, with O(1)
+   hot-path updates.  The engine's event counts live in its own stats
+   record, which a collector reads when a snapshot is taken (see
+   Obs.counters); this registry holds only what that record cannot: four
+   log2 histograms and the per-prefix-level decision counts.  The hot
+   path works on a preallocated record — no closures, no hashing, no
+   allocation per event; the *registry* view (stable names, snapshot,
+   JSON) is only materialised when a snapshot is taken.
 
    Histograms use log2 buckets: an observation [x >= 0] lands in bucket
    [bits x] (the position of its highest set bit, 0 for x = 0), so the
@@ -38,21 +41,6 @@ let hist_mean h =
   if h.h_count = 0 then 0. else float_of_int h.h_sum /. float_of_int h.h_count
 
 type t = {
-  (* counters (mirror the engine's stats record so a snapshot is
-     self-contained even without the stats struct at hand) *)
-  mutable decisions : int;
-  mutable propagations : int;
-  mutable pure_assignments : int;
-  mutable conflicts : int;
-  mutable solutions : int;
-  mutable learned_clauses : int;
-  mutable learned_cubes : int;
-  mutable backjumps : int;
-  mutable restarts : int;
-  mutable deleted_constraints : int;
-  (* gauges *)
-  mutable max_decision_level : int;
-  (* histograms *)
   backjump_length : hist; (* levels undone per learning backjump *)
   decision_level : hist; (* decision level at each branching step *)
   learned_clause_size : hist;
@@ -64,17 +52,6 @@ type t = {
 
 let create () =
   {
-    decisions = 0;
-    propagations = 0;
-    pure_assignments = 0;
-    conflicts = 0;
-    solutions = 0;
-    learned_clauses = 0;
-    learned_cubes = 0;
-    backjumps = 0;
-    restarts = 0;
-    deleted_constraints = 0;
-    max_decision_level = 0;
     backjump_length = hist_create ();
     decision_level = hist_create ();
     learned_clause_size = hist_create ();
@@ -94,31 +71,15 @@ let[@inline] ensure_level m lvl =
 (* [plevel] is the prefix level of the branching variable, [dlevel] the
    decision level being opened. *)
 let on_decision m ~plevel ~dlevel =
-  m.decisions <- m.decisions + 1;
-  if dlevel > m.max_decision_level then m.max_decision_level <- dlevel;
   hist_add m.decision_level dlevel;
   ensure_level m plevel;
   m.per_level.(plevel) <- m.per_level.(plevel) + 1
 
-let on_propagation m = m.propagations <- m.propagations + 1
-let on_pure m = m.pure_assignments <- m.pure_assignments + 1
-let on_conflict m = m.conflicts <- m.conflicts + 1
-let on_solution m = m.solutions <- m.solutions + 1
-
-let on_learn_clause m ~size =
-  m.learned_clauses <- m.learned_clauses + 1;
-  hist_add m.learned_clause_size size
-
-let on_learn_cube m ~size =
-  m.learned_cubes <- m.learned_cubes + 1;
-  hist_add m.learned_cube_size size
+let on_learn_clause m ~size = hist_add m.learned_clause_size size
+let on_learn_cube m ~size = hist_add m.learned_cube_size size
 
 let on_backjump m ~from_level ~to_level =
-  m.backjumps <- m.backjumps + 1;
   hist_add m.backjump_length (from_level - to_level)
-
-let on_restart m = m.restarts <- m.restarts + 1
-let on_delete m = m.deleted_constraints <- m.deleted_constraints + 1
 
 (* ---------- snapshot ---------------------------------------------------- *)
 
@@ -152,33 +113,26 @@ type snapshot = {
   per_level_decisions : int list; (* index = prefix level *)
 }
 
-let leaves m = m.conflicts + m.solutions
-
-let snapshot m =
-  let counters =
-    [
-      ("decisions", m.decisions);
-      ("propagations", m.propagations);
-      ("pure_assignments", m.pure_assignments);
-      ("conflicts", m.conflicts);
-      ("solutions", m.solutions);
-      ("learned_clauses", m.learned_clauses);
-      ("learned_cubes", m.learned_cubes);
-      ("backjumps", m.backjumps);
-      ("restarts", m.restarts);
-      ("deleted_constraints", m.deleted_constraints);
-    ]
+(* The gauges that are ratios of counters.  A snapshot and a merge
+   both derive them from their counters (a mean of means would depend on
+   grouping). *)
+let ratio_gauges counters =
+  let c name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let ratio num den =
+    if den = 0 then 0. else float_of_int num /. float_of_int den
   in
+  [
+    ("propagations_per_conflict", ratio (c "propagations") (c "conflicts"));
+    ( "decisions_per_leaf",
+      ratio (c "decisions") (c "conflicts" + c "solutions") );
+  ]
+
+(* [counters] are the engine's event counts (Obs.counters), which the
+   registry does not keep itself. *)
+let snapshot ~counters m =
   let gauges =
-    [
-      ("max_decision_level", float_of_int m.max_decision_level);
-      ( "propagations_per_conflict",
-        if m.conflicts = 0 then 0.
-        else float_of_int m.propagations /. float_of_int m.conflicts );
-      ( "decisions_per_leaf",
-        if leaves m = 0 then 0.
-        else float_of_int m.decisions /. float_of_int (leaves m) );
-    ]
+    ("max_decision_level", float_of_int m.decision_level.h_max)
+    :: ratio_gauges counters
   in
   let histograms =
     [
@@ -239,21 +193,14 @@ let merge_assoc combine a b =
   go (sorted a) (sorted b)
 
 (* Gauges that are ratios of counters are recomputed from the merged
-   counters (a mean of means would depend on grouping); anything else is
-   a high-water mark and takes the max. *)
+   counters; anything else is a high-water mark and takes the max. *)
 let merge_snapshot (a : snapshot) (b : snapshot) =
   let counters = merge_assoc ( + ) a.counters b.counters in
-  let c name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
+  let ratios = ratio_gauges counters in
   let gauges =
     merge_assoc Float.max a.gauges b.gauges
     |> List.map (fun (k, v) ->
-           match k with
-           | "propagations_per_conflict" ->
-               (k, ratio (c "propagations") (c "conflicts"))
-           | "decisions_per_leaf" ->
-               (k, ratio (c "decisions") (c "conflicts" + c "solutions"))
-           | _ -> (k, v))
+           (k, Option.value ~default:v (List.assoc_opt k ratios)))
   in
   let histograms = merge_assoc merge_hist_snapshot a.histograms b.histograms in
   let rec add_levels xs ys =

@@ -24,6 +24,9 @@ type kind =
   | Backjump (* learning-driven jump; arg = target level *)
   | Restart (* arg = restart count so far *)
   | Delete (* constraint deactivated; arg = constraint id *)
+  | Fallback
+      (* analysis abandoned for a chronological flip; arg = 0 after a
+         conflict, 1 after a solution *)
   (* Serving-supervisor events (Qbf_serve): for these, [dlevel] carries
      the worker pid (0 if none), [plevel] the attempt number within the
      job, and [arg] the job id. *)
@@ -44,6 +47,7 @@ let kind_to_string = function
   | Backjump -> "backjump"
   | Restart -> "restart"
   | Delete -> "constraint-delete"
+  | Fallback -> "fallback"
   | Serve_spawn -> "serve-spawn"
   | Serve_dispatch -> "serve-dispatch"
   | Serve_result -> "serve-result"
@@ -61,6 +65,7 @@ let kind_of_string = function
   | "backjump" -> Some Backjump
   | "restart" -> Some Restart
   | "constraint-delete" -> Some Delete
+  | "fallback" -> Some Fallback
   | "serve-spawn" -> Some Serve_spawn
   | "serve-dispatch" -> Some Serve_dispatch
   | "serve-result" -> Some Serve_result
@@ -71,8 +76,8 @@ let kind_of_string = function
 let all_kinds =
   [
     Decision; Propagation; Pure; Conflict; Solution; Learn_clause;
-    Learn_cube; Backjump; Restart; Delete; Serve_spawn; Serve_dispatch;
-    Serve_result; Serve_retry; Serve_kill;
+    Learn_cube; Backjump; Restart; Delete; Fallback; Serve_spawn;
+    Serve_dispatch; Serve_result; Serve_retry; Serve_kill;
   ]
 
 let kind_index = function
@@ -86,13 +91,14 @@ let kind_index = function
   | Backjump -> 7
   | Restart -> 8
   | Delete -> 9
-  | Serve_spawn -> 10
-  | Serve_dispatch -> 11
-  | Serve_result -> 12
-  | Serve_retry -> 13
-  | Serve_kill -> 14
+  | Fallback -> 10
+  | Serve_spawn -> 11
+  | Serve_dispatch -> 12
+  | Serve_result -> 13
+  | Serve_retry -> 14
+  | Serve_kill -> 15
 
-let num_kinds = 15
+let num_kinds = 16
 
 (* An emitted event.  [seq] numbers *offered* events (pre-sampling), so
    consumers of a sampled trace can see the gaps; [t] is seconds since

@@ -130,7 +130,9 @@ let stopped_of ~interrupt ~deadline ~max_nodes ~nodes = function
 let snapshots_of_obs = function
   | Some o ->
       ( (if o.Qbf_obs.Obs.metrics_on then
-           Some (Qbf_obs.Metrics.snapshot o.Qbf_obs.Obs.metrics)
+           Some
+             (Qbf_obs.Metrics.snapshot ~counters:(Qbf_obs.Obs.counters o)
+                o.Qbf_obs.Obs.metrics)
          else None),
         if o.Qbf_obs.Obs.profile_on then
           Some (Qbf_obs.Profile.snapshot o.Qbf_obs.Obs.profile)

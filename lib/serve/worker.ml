@@ -124,38 +124,39 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     | Some c -> c
     | None -> ST.default_config
   in
-  (* With telemetry on, the attempt gets a fresh collector: metrics for
-     the engine registry, profile for the phase spans.  Snapshots of it
+  (* Every attempt gets a fresh collector, whose attached counters give
+     the heartbeats their node counts.  With worker stats on it also
+     carries the engine registry and the phase profile: snapshots of it
      ride the heartbeat path periodically and a final one precedes the
      answer frame, so the supervisor has per-attempt engine statistics
      even for a worker it later kills. *)
   let obs =
     if stats then
-      Some
-        (Qbf_obs.Obs.make ~metrics:(Qbf_obs.Metrics.create ())
-           ~profile:(Qbf_obs.Profile.create ()) ())
-    else None
+      Qbf_obs.Obs.make ~metrics:(Qbf_obs.Metrics.create ())
+        ~profile:(Qbf_obs.Profile.create ()) ()
+    else Qbf_obs.Obs.make ()
   in
   let live_nodes () =
-    match obs with
-    | Some o -> Qbf_obs.Metrics.leaves o.Qbf_obs.Obs.metrics
-    | None -> 0
+    match Qbf_obs.Obs.counters obs with
+    | [] -> 0
+    | c -> List.assoc "conflicts" c + List.assoc "solutions" c
   in
   let send_stats ~final =
-    match obs with
-    | None -> ()
-    | Some o ->
-        let metrics = Some (Qbf_obs.Metrics.snapshot o.Qbf_obs.Obs.metrics) in
-        let profile = Some (Qbf_obs.Profile.snapshot o.Qbf_obs.Obs.profile) in
-        Protocol.write_frame out
-          (Protocol.json_of_stats
-             {
-               Protocol.st_id = id;
-               st_attempt = attempt;
-               st_final = final;
-               st_metrics = metrics;
-               st_profile = profile;
-             })
+    if stats then
+      Protocol.write_frame out
+        (Protocol.json_of_stats
+           {
+             Protocol.st_id = id;
+             st_attempt = attempt;
+             st_final = final;
+             st_metrics =
+               Some
+                 (Qbf_obs.Metrics.snapshot
+                    ~counters:(Qbf_obs.Obs.counters obs)
+                    obs.Qbf_obs.Obs.metrics);
+             st_profile =
+               Some (Qbf_obs.Profile.snapshot obs.Qbf_obs.Obs.profile);
+           })
   in
   (* Heartbeats ride the engine's budget poll: every [stop_interval]
      budget checks the engine calls [should_stop], and we piggyback a
@@ -176,7 +177,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
       beat_nodes := total;
       Protocol.write_frame out
         (Protocol.json_of_heartbeat ~id ~attempt ~nodes:delta);
-      if obs <> None && now -. !last_stats >= stats_interval_s then begin
+      if stats && now -. !last_stats >= stats_interval_s then begin
         last_stats := now;
         send_stats ~final:false
       end
@@ -184,7 +185,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     false
   in
   let config =
-    ST.(config |> with_should_stop (Some beat) |> with_obs obs)
+    ST.(config |> with_should_stop (Some beat) |> with_obs (Some obs))
   in
   let limits =
     Limits.make

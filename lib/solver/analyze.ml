@@ -551,6 +551,10 @@ let handle s ~cube analyze =
     | conclusion -> conclusion
     | exception Fallback ->
         s.S.stats.chrono_fallbacks <- s.S.stats.chrono_fallbacks + 1;
+        let o = s.S.obs in
+        if o.Obs.trace_on then
+          Trace.emit o.Obs.trace Trace.Fallback ~dlevel:(S.current_level s)
+            ~plevel:0 ~arg:(if cube then 1 else 0);
         chrono s ~exist_side:(not cube)
   end
 

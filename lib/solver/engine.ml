@@ -7,7 +7,6 @@ open Solver_types
 module S = State
 module Db = Constraint_db
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Trace = Qbf_obs.Trace
 module Profile = Qbf_obs.Profile
 
@@ -132,11 +131,10 @@ let solve_state s =
       S.backtrack s 0;
       incr restart_idx;
       leaves_at_restart := leaves s;
-      s.S.stats.restarts_done <- s.S.stats.restarts_done + 1;
-      if o.Obs.metrics_on then Metrics.on_restart o.Obs.metrics;
+      s.S.stats.restarts <- s.S.stats.restarts + 1;
       if o.Obs.trace_on then
         Trace.emit o.Obs.trace Trace.Restart ~dlevel:0 ~plevel:0
-          ~arg:s.S.stats.restarts_done
+          ~arg:s.S.stats.restarts
     end
   in
   (* DB reduction fires on a leaf *threshold*, not a modulus: several
@@ -178,12 +176,10 @@ let solve_state s =
     | Propagate.P_conflict cid -> on_conflict cid
     | Propagate.P_solution src ->
         s.S.stats.solutions <- s.S.stats.solutions + 1;
-        if o.Obs.metrics_on then Metrics.on_solution o.Obs.metrics;
         if o.Obs.trace_on then
           Trace.emit o.Obs.trace Trace.Solution
             ~dlevel:(S.current_level s) ~plevel:0
             ~arg:(match src with Propagate.Cover -> -1 | Propagate.Cube c -> c);
-        S.event s E_solution_leaf;
         maybe_rescale ();
         continue_with (analyzed_solution src)
     | Propagate.P_none ->
@@ -221,11 +217,9 @@ let solve_state s =
     else Analyze.handle_solution s src
   and on_conflict cid =
     s.S.stats.conflicts <- s.S.stats.conflicts + 1;
-    if o.Obs.metrics_on then Metrics.on_conflict o.Obs.metrics;
     if o.Obs.trace_on then
       Trace.emit o.Obs.trace Trace.Conflict ~dlevel:(S.current_level s)
         ~plevel:0 ~arg:cid;
-    S.event s E_conflict_leaf;
     maybe_rescale ();
     let concluded =
       if o.Obs.profile_on then begin
@@ -277,25 +271,16 @@ let solve_state s =
 
 (* Solve a QBF.  The formula is lightly preprocessed: tautological
    clauses dropped (done by State), which is enough for the engine's
-   invariants.  Attaching a proof writer forces pure-literal fixing off
-   (a pure-assigned pivot has no reason constraint to resolve with) and
-   learning on (the resolution steps of Analyze are the derivation; a
-   chronological engine concludes without deriving anything; see
-   Proof). *)
+   invariants.  A proof writer switches the state to proof mode (see
+   State.create). *)
 let solve ?(config = default_config) ?proof formula =
-  let config =
-    match proof with
-    | Some _ -> config |> with_pure_literals false |> with_learning true
-    | None -> config
-  in
   let s =
     match config.observe.obs with
     | Some o when o.Obs.profile_on ->
         Profile.span o.Obs.profile Profile.Build (fun () ->
-            S.create formula config)
-    | _ -> S.create formula config
+            S.create ?proof formula config)
+    | _ -> S.create ?proof formula config
   in
-  (match proof with Some p -> S.attach_proof s p | None -> ());
   solve_state s
 
 (* Test hook: run one reduction cycle against the current state exactly

@@ -38,7 +38,7 @@ val solve :
 (** Run the search loop on a prepared state.  Internal: {!Session} is
     the supported way to drive the engine across multiple calls.  The
     result's [witness] reports a certificate iff the state's attached
-    proof writer (see {!State.attach_proof}) gained a conclusion record
+    proof writer (see {!State.create}) gained a conclusion record
     during this call. *)
 val solve_state : State.t -> Solver_types.result
 

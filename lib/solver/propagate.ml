@@ -10,25 +10,16 @@ open Solver_types
 module S = State
 module Db = Constraint_db
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Trace = Qbf_obs.Trace
 
 type source = Cover | Cube of int
 
-(* One guarded emit per unit/pure assignment; [l] is the literal made
-   true. *)
-let note_propagation s l =
+(* One guarded emit per unit ([Trace.Propagation]) or pure
+   ([Trace.Pure]) assignment; [l] is the literal made true. *)
+let note s kind l =
   let o = s.S.obs in
-  if o.Obs.metrics_on then Metrics.on_propagation o.Obs.metrics;
   if o.Obs.trace_on then
-    Trace.emit o.Obs.trace Trace.Propagation ~dlevel:(S.current_level s)
-      ~plevel:s.S.plevel.(S.var l) ~arg:l
-
-let note_pure s l =
-  let o = s.S.obs in
-  if o.Obs.metrics_on then Metrics.on_pure o.Obs.metrics;
-  if o.Obs.trace_on then
-    Trace.emit o.Obs.trace Trace.Pure ~dlevel:(S.current_level s)
+    Trace.emit o.Obs.trace kind ~dlevel:(S.current_level s)
       ~plevel:s.S.plevel.(S.var l) ~arg:l
 
 type outcome =
@@ -78,8 +69,7 @@ let try_unit s kind cid =
   else begin
     let l = match kind with Clause_c -> p | Cube_c -> S.neg p in
     s.S.stats.propagations <- s.S.stats.propagations + 1;
-    note_propagation s l;
-    S.event s (E_propagate l);
+    note s Trace.Propagation l;
     S.assign s l (Reason cid);
     true
   end
@@ -125,8 +115,7 @@ let pop_unit s =
 
 let assign_pure s l =
   s.S.stats.pure_assignments <- s.S.stats.pure_assignments + 1;
-  note_pure s l;
-  S.event s (E_propagate l);
+  note s Trace.Pure l;
   S.assign s l Pure
 
 (* Pure-literal fixing.  Universal pures and vanished variables are

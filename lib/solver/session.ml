@@ -62,18 +62,10 @@ let create ?(config = default_config) ?(validate = default_validate) ?proof ()
     | Some user -> Some (fun () -> !hook () || user ())
   in
   let config = with_should_stop should_stop config in
-  (* A proof writer needs every pivot to carry a reason constraint and
-     every conclusion to come out of a resolution derivation, so
-     pure-literal fixing goes off and learning goes on for the session's
-     lifetime (the config is fixed at state creation; see Proof). *)
-  let config =
-    match proof with
-    | Some _ -> config |> with_pure_literals false |> with_learning true
-    | None -> config
-  in
+  (* a proof writer switches the state to proof mode for the session's
+     lifetime (see State.create) *)
   let empty = Formula.make (Prefix.of_forest ~nvars:0 []) [] in
-  let state = S.create empty config in
-  (match proof with Some p -> S.attach_proof state p | None -> ());
+  let state = S.create ?proof empty config in
   {
     nodes = Vec.create dummy_node;
     roots_rev = [];

@@ -40,7 +40,7 @@ type stats = {
   mutable backjumps : int; (* learning-driven non-chronological jumps *)
   mutable chrono_fallbacks : int; (* analyses abandoned for a plain flip *)
   mutable max_decision_level : int;
-  mutable restarts_done : int;
+  mutable restarts : int;
   mutable deleted_constraints : int;
 }
 
@@ -56,12 +56,31 @@ let empty_stats () =
     backjumps = 0;
     chrono_fallbacks = 0;
     max_decision_level = 0;
-    restarts_done = 0;
+    restarts = 0;
     deleted_constraints = 0;
   }
 
 (* Leaves visited: the size measure used by the benchmark harness. *)
 let nodes stats = stats.conflicts + stats.solutions
+
+(* The event counters, by the one name each has everywhere: a
+   collector's snapshot (see Qbf_obs.Obs.counters), qube --json-status,
+   qubed telemetry and Prometheus.  [max_decision_level] is a high-water
+   mark, not a counter. *)
+let counters s =
+  [
+    ("decisions", s.decisions);
+    ("propagations", s.propagations);
+    ("pure_assignments", s.pure_assignments);
+    ("conflicts", s.conflicts);
+    ("solutions", s.solutions);
+    ("learned_clauses", s.learned_clauses);
+    ("learned_cubes", s.learned_cubes);
+    ("backjumps", s.backjumps);
+    ("chrono_fallbacks", s.chrono_fallbacks);
+    ("restarts", s.restarts);
+    ("deleted_constraints", s.deleted_constraints);
+  ]
 
 let copy_stats s =
   {
@@ -75,7 +94,7 @@ let copy_stats s =
     backjumps = s.backjumps;
     chrono_fallbacks = s.chrono_fallbacks;
     max_decision_level = s.max_decision_level;
-    restarts_done = s.restarts_done;
+    restarts = s.restarts;
     deleted_constraints = s.deleted_constraints;
   }
 
@@ -95,18 +114,10 @@ let diff_stats ~before after =
     backjumps = after.backjumps - before.backjumps;
     chrono_fallbacks = after.chrono_fallbacks - before.chrono_fallbacks;
     max_decision_level = after.max_decision_level;
-    restarts_done = after.restarts_done - before.restarts_done;
+    restarts = after.restarts - before.restarts;
     deleted_constraints =
       after.deleted_constraints - before.deleted_constraints;
   }
-
-type event =
-  | E_decide of int (* literal assigned as a branch *)
-  | E_flip of int (* second branch of a chronological flip *)
-  | E_propagate of int (* literal assigned by unit or pure propagation *)
-  | E_conflict_leaf
-  | E_solution_leaf
-  | E_backtrack of int (* target decision level *)
 
 (* ------------------------------------------------------------------ *)
 (* Engine configuration.
@@ -176,7 +187,6 @@ type budgets = {
 }
 
 type observe = {
-  on_event : (event -> unit) option;
   obs : Qbf_obs.Obs.t option;
       (* observability collector (metrics registry, trace emitter, phase
          profiler).  [None] installs the shared all-off collector: every
@@ -221,7 +231,7 @@ let default_budgets =
     stop_interval = 1;
   }
 
-let default_observe = { on_event = None; obs = None }
+let default_observe = { obs = None }
 let default_hints = { aux_hint = None }
 
 let default_config =
@@ -260,8 +270,7 @@ let with_max_nodes v = with_budgets (fun b -> { b with max_nodes = v })
 let with_should_stop v = with_budgets (fun b -> { b with should_stop = v })
 let with_stop_flag v = with_budgets (fun b -> { b with stop_flag = v })
 let with_stop_interval v = with_budgets (fun b -> { b with stop_interval = v })
-let with_on_event v = with_observe (fun o -> { o with on_event = v })
-let with_obs v = with_observe (fun o -> { o with obs = v })
+let with_obs v = with_observe (fun _ -> { obs = v })
 let with_aux_hint v = with_hints (fun _ -> { aux_hint = v })
 
 (* Certificate attached to a conclusive result.  [Proof_trace] points at

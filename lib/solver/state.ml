@@ -165,9 +165,6 @@ let settles kind v = match kind with Clause_c -> v = 1 | Cube_c -> v = 0
 
 let current_level s = Vec.length s.trail_lim
 
-let event s e =
-  match s.config.observe.on_event with None -> () | Some f -> f e
-
 (* --- discovery-queue pushes (deduplicated per wave) --------------------- *)
 
 (* A constraint touched through several literals of one propagation wave
@@ -557,7 +554,6 @@ let backtrack s level =
        learned constraints — from the analysis it nests inside *)
     let o = s.obs in
     if o.Obs.profile_on then Profile.enter o.Obs.profile Profile.Backtrack;
-    event s (E_backtrack level);
     let target = Vec.get s.trail_lim level in
     while Vec.length s.trail > target do
       unassign s (Vec.pop s.trail)
@@ -583,7 +579,6 @@ let new_decision s l ~flipped =
   if o.Obs.trace_on then
     Trace.emit o.Obs.trace Trace.Decision ~dlevel:(current_level s)
       ~plevel:s.plevel.(var l) ~arg:l;
-  event s (if flipped then E_flip l else E_decide l);
   assign s l (if flipped then Flipped else Decision)
 
 (* --- constraint creation ----------------------------------------------- *)
@@ -704,7 +699,39 @@ let prefix_tables prefix config =
     t_is_aux = is_aux;
   }
 
-let create formula config =
+(* Attach a trace writer: declare the current prefix and register every
+   active original clause already in the database.  Constraints added
+   later register themselves ({!add_constraint}, Analyze).  Called by
+   {!create}, before any solving, so every future antecedent carries a
+   proof id. *)
+let attach_proof s p =
+  s.proof <- Some p;
+  for v = 0 to s.nvars - 1 do
+    Proof.declare_var p ~var:v ~exist:s.is_exist.(v) ~d:s.d.(v) ~f:s.f.(v)
+  done;
+  for k = 0 to Db.num_originals s.db - 1 do
+    let cid = Db.original s.db k in
+    if Db.active s.db cid && Db.pid s.db cid = 0 then begin
+      let pid = Proof.fresh_pid p in
+      Db.set_pid s.db cid pid;
+      Proof.input_clause p ~pid (Db.lits_list s.db cid)
+    end
+  done
+
+(* Build the state of [formula].  A proof writer needs every pivot to
+   carry a reason constraint (a pure-assigned one has none) and every
+   conclusion to come out of a resolution derivation (a chronological
+   engine derives nothing), so [?proof] forces pure-literal fixing off
+   and learning on for the state's lifetime and attaches the writer (see
+   Proof).  A collector in [config.observe.obs] gets a reader of the
+   state's counters: it closes over the stats record only, so the
+   collector does not keep the state alive. *)
+let create ?proof formula config =
+  let config =
+    match proof with
+    | Some _ -> config |> with_pure_literals false |> with_learning true
+    | None -> config
+  in
   let prefix = Formula.prefix formula in
   let nvars = Prefix.nvars prefix in
   let n = max nvars 1 in
@@ -784,6 +811,12 @@ let create formula config =
     for l = 0 to (2 * nvars) - 1 do
       if s.pos_unsat.(l) = 0 then Vec.push s.pure_q l
     done;
+  (match proof with Some p -> attach_proof s p | None -> ());
+  (match config.observe.obs with
+  | Some o ->
+      let stats = s.stats in
+      Obs.attach o (fun () -> counters stats)
+  | None -> ());
   s
 
 (* Take an active constraint out of the occurrence/purity counters; the
@@ -811,7 +844,6 @@ let deactivate_constraint s cid =
     drop_from_counters s cid;
     s.stats.deleted_constraints <- s.stats.deleted_constraints + 1;
     let o = s.obs in
-    if o.Obs.metrics_on then Metrics.on_delete o.Obs.metrics;
     if o.Obs.trace_on then
       Trace.emit o.Obs.trace Trace.Delete ~dlevel:(current_level s)
         ~plevel:0 ~arg:cid
@@ -1040,22 +1072,3 @@ let extend s prefix =
           ~f:s.f.(v)
       done
   | None -> ()
-
-(* Attach a trace writer: declare the current prefix and register every
-   active original clause already in the database.  Constraints added
-   later register themselves ({!add_constraint}, Analyze).  Must be
-   called before any solving so every future antecedent carries a proof
-   id; callers also disable pure-literal fixing (see Proof). *)
-let attach_proof s p =
-  s.proof <- Some p;
-  for v = 0 to s.nvars - 1 do
-    Proof.declare_var p ~var:v ~exist:s.is_exist.(v) ~d:s.d.(v) ~f:s.f.(v)
-  done;
-  for k = 0 to Db.num_originals s.db - 1 do
-    let cid = Db.original s.db k in
-    if Db.active s.db cid && Db.pid s.db cid = 0 then begin
-      let pid = Proof.fresh_pid p in
-      Db.set_pid s.db cid pid;
-      Proof.input_clause p ~pid (Db.lits_list s.db cid)
-    end
-  done

@@ -102,25 +102,20 @@ let test_reduce_mid_search () =
         }
     in
     let reference = (Qbf_solver.Engine.solve f).ST.outcome in
-    let stop_now = ref false in
-    let decisions = ref 0 in
+    (* stop at the first budget check after the 20th decision, until
+       resumed *)
+    let stats = ref (ST.empty_stats ()) and suspend = ref true in
     let config =
       ST.(
         default_config
         |> with_debug_checks true
         |> with_db_keep_fraction 0.0
-        |> with_should_stop (Some (fun () -> !stop_now))
-        |> with_stop_interval 1
-        |> with_on_event
-             (Some
-                (fun e ->
-                  match e with
-                  | ST.E_decide _ | ST.E_flip _ ->
-                      incr decisions;
-                      if !decisions = 20 then stop_now := true
-                  | _ -> ())))
+        |> with_should_stop
+             (Some (fun () -> !suspend && !stats.decisions >= 20))
+        |> with_stop_interval 1)
     in
     let s = S.create f config in
+    stats := s.S.stats;
     let r1 = Engine.solve_state s in
     if r1.ST.outcome = ST.Unknown then begin
       let db = s.S.db in
@@ -160,7 +155,7 @@ let test_reduce_mid_search () =
       Test_prop.check_watch_invariants
         (Printf.sprintf "after reduce, seed %d" seed)
         s;
-      stop_now := false;
+      suspend := false;
       incr resumed;
       Alcotest.check Util.outcome
         ("resumed " ^ string_of_int seed)
@@ -203,18 +198,15 @@ let test_original_index () =
       default_config |> with_debug_checks true |> with_db_keep_fraction 0.0)
   in
   (* mid-search reduction *)
-  let decisions = ref 0 in
+  let stats = ref (ST.empty_stats ()) in
   let s =
     S.create (fpv ())
       ST.(
         config
-        |> with_should_stop (Some (fun () -> !decisions >= 20))
-        |> with_stop_interval 1
-        |> with_on_event
-             (Some
-                (function
-                | ST.E_decide _ | ST.E_flip _ -> incr decisions | _ -> ())))
+        |> with_should_stop (Some (fun () -> !stats.decisions >= 20))
+        |> with_stop_interval 1)
   in
+  stats := s.S.stats;
   Alcotest.check Util.outcome "suspended" ST.Unknown
     (Engine.solve_state s).ST.outcome;
   let before = Db.size s.S.db in

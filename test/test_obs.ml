@@ -186,7 +186,18 @@ let observed_solve ?(restarts = false) ?(reduce = Fun.id) f =
       |> with_db_reduction restarts |> reduce |> with_obs (Some obs))
   in
   let r = Qbf_solver.Engine.solve ~config f in
-  (r.ST.stats, Metrics.snapshot metrics, Trace.to_list trace)
+  ( r.ST.stats,
+    Metrics.snapshot ~counters:(Obs.counters obs) metrics,
+    Trace.to_list trace )
+
+let counters = Alcotest.(list (pair string int))
+
+(* The instance whose default run falls back once (CI obs-smoke solves
+   it too). *)
+let fallback_formula () =
+  match Qbf_run.Run.load "../examples/instances/dia_counter2_n3.nqdimacs" with
+  | Ok f -> f
+  | Error e -> Alcotest.fail (Qbf_run.Run_error.to_string e)
 
 let test_metrics_invariants () =
   List.iter
@@ -198,24 +209,13 @@ let test_metrics_invariants () =
       Alcotest.(check int) "conflicts + solutions = leaves"
         (ST.nodes stats)
         (c "conflicts" + c "solutions");
-      (* the registry mirrors the engine's own stats exactly *)
-      Alcotest.(check int) "decisions" stats.ST.decisions (c "decisions");
-      Alcotest.(check int) "propagations" stats.ST.propagations
-        (c "propagations");
-      Alcotest.(check int) "pures" stats.ST.pure_assignments
-        (c "pure_assignments");
-      Alcotest.(check int) "conflicts" stats.ST.conflicts (c "conflicts");
-      Alcotest.(check int) "solutions" stats.ST.solutions (c "solutions");
-      Alcotest.(check int) "learned clauses" stats.ST.learned_clauses
-        (c "learned_clauses");
-      Alcotest.(check int) "learned cubes" stats.ST.learned_cubes
-        (c "learned_cubes");
-      Alcotest.(check int) "backjumps" stats.ST.backjumps (c "backjumps");
-      Alcotest.(check int) "restarts" stats.ST.restarts_done (c "restarts");
-      Alcotest.(check int) "deletes" stats.ST.deleted_constraints
-        (c "deleted_constraints"))
+      (* the snapshot's counters are the engine's own stats *)
+      Alcotest.check counters "counters" (ST.counters stats) s.Metrics.counters;
+      Alcotest.(check (float 0.)) "max decision level"
+        (float_of_int stats.ST.max_decision_level)
+        (List.assoc "max_decision_level" s.Metrics.gauges))
     (formulas ());
-  (* with reduction on, each deletion counts once in both *)
+  (* with reduction on, each deletion counts once *)
   let deleted =
     List.fold_left
       (fun acc f ->
@@ -225,44 +225,72 @@ let test_metrics_invariants () =
               c |> with_db_reduce_interval 4 |> with_db_keep_fraction 0.25)
             f
         in
-        Alcotest.(check int) "deletes under reduction"
-          stats.ST.deleted_constraints
-          (counter s "deleted_constraints");
+        Alcotest.check counters "counters under reduction"
+          (ST.counters stats) s.Metrics.counters;
         acc + stats.ST.deleted_constraints)
       0 (reducing_formulas ())
   in
   Alcotest.(check bool) "reduction deleted constraints" true (deleted > 0)
 
+let check_trace_counts (stats : ST.stats) (s : Metrics.snapshot) events =
+  let n k = List.assoc k (Trace.counts events) in
+  Alcotest.(check int) "decision events" stats.ST.decisions (n Trace.Decision);
+  Alcotest.(check int) "propagation events" stats.ST.propagations
+    (n Trace.Propagation);
+  Alcotest.(check int) "pure events" stats.ST.pure_assignments (n Trace.Pure);
+  Alcotest.(check int) "conflict events" stats.ST.conflicts (n Trace.Conflict);
+  Alcotest.(check int) "solution events" stats.ST.solutions (n Trace.Solution);
+  Alcotest.(check int) "leaf events" (ST.nodes stats)
+    (n Trace.Conflict + n Trace.Solution);
+  Alcotest.(check int) "learn-clause events" stats.ST.learned_clauses
+    (n Trace.Learn_clause);
+  Alcotest.(check int) "learn-cube events" stats.ST.learned_cubes
+    (n Trace.Learn_cube);
+  Alcotest.(check int) "backjump events" stats.ST.backjumps (n Trace.Backjump);
+  Alcotest.(check int) "fallback events" stats.ST.chrono_fallbacks
+    (n Trace.Fallback);
+  Alcotest.(check int) "restart events" stats.ST.restarts (n Trace.Restart);
+  Alcotest.(check int) "delete events" stats.ST.deleted_constraints
+    (n Trace.Delete);
+  (* the offline per-level histogram agrees with the registry's *)
+  Alcotest.(check (list int)) "per-level decisions"
+    s.Metrics.per_level_decisions
+    (Array.to_list (Trace.decision_levels events))
+
 let test_trace_matches_stats () =
   List.iter
     (fun f ->
       let stats, s, events = observed_solve ~restarts:true f in
-      let n k = List.assoc k (Trace.counts events) in
-      Alcotest.(check int) "decision events" stats.ST.decisions
-        (n Trace.Decision);
-      Alcotest.(check int) "propagation events" stats.ST.propagations
-        (n Trace.Propagation);
-      Alcotest.(check int) "pure events" stats.ST.pure_assignments
-        (n Trace.Pure);
-      Alcotest.(check int) "conflict events" stats.ST.conflicts
-        (n Trace.Conflict);
-      Alcotest.(check int) "solution events" stats.ST.solutions
-        (n Trace.Solution);
-      Alcotest.(check int) "learn-clause events" stats.ST.learned_clauses
-        (n Trace.Learn_clause);
-      Alcotest.(check int) "learn-cube events" stats.ST.learned_cubes
-        (n Trace.Learn_cube);
-      Alcotest.(check int) "backjump events" stats.ST.backjumps
-        (n Trace.Backjump);
-      Alcotest.(check int) "restart events" stats.ST.restarts_done
-        (n Trace.Restart);
-      Alcotest.(check int) "delete events" stats.ST.deleted_constraints
-        (n Trace.Delete);
-      (* the offline per-level histogram agrees with the registry's *)
-      Alcotest.(check (list int)) "per-level decisions"
-        s.Metrics.per_level_decisions
-        (Array.to_list (Trace.decision_levels events)))
-    (formulas ())
+      check_trace_counts stats s events)
+    (formulas ());
+  let stats, s, events = observed_solve (fallback_formula ()) in
+  Alcotest.(check bool) "a fallback happened" true
+    (stats.ST.chrono_fallbacks >= 1);
+  check_trace_counts stats s events
+
+(* One collector across two solves reports the sum of their stats, and
+   a collector with no components still reads the counters. *)
+let test_shared_collector () =
+  match formulas () with
+  | f1 :: f2 :: _ ->
+      let obs = Obs.make () in
+      let config = ST.(default_config |> with_obs (Some obs)) in
+      let r1 = Qbf_solver.Engine.solve ~config f1 in
+      Alcotest.check counters "one solve" (ST.counters r1.ST.stats)
+        (Obs.counters obs);
+      let r2 = Qbf_solver.Engine.solve ~config f2 in
+      Alcotest.check counters "two solves"
+        (List.map2
+           (fun (k, a) (_, b) -> (k, a + b))
+           (ST.counters r1.ST.stats) (ST.counters r2.ST.stats))
+        (Obs.counters obs);
+      (* the shared all-off collector is never attached to *)
+      ignore
+        (Qbf_solver.Engine.solve
+           ~config:ST.(default_config |> with_obs (Some Obs.none))
+           f1);
+      Alcotest.check counters "Obs.none" [] (Obs.counters Obs.none)
+  | _ -> assert false
 
 let test_disabled_obs_is_inert () =
   (* solving with no collector must behave identically (and not crash on
@@ -293,5 +321,6 @@ let suite =
     Alcotest.test_case "profile clocks" `Quick test_profile_clocks;
     Alcotest.test_case "metrics invariants" `Quick test_metrics_invariants;
     Alcotest.test_case "trace matches stats" `Quick test_trace_matches_stats;
+    Alcotest.test_case "shared collector sums" `Quick test_shared_collector;
     Alcotest.test_case "disabled obs inert" `Quick test_disabled_obs_is_inert;
   ]

@@ -151,15 +151,18 @@ let test_interrupt_pretripped () =
 
 let test_interrupt_mid_search () =
   let interrupt = Limits.Interrupt.create () in
-  let events = ref 0 in
+  (* the budget poll trips the interrupt mid-search; the engine reads
+     the flag at its next budget check *)
+  let polls = ref 0 in
   let config =
     ST.(
       default_config |> with_learning false |> with_pure_literals false
-      |> with_on_event
+      |> with_should_stop
            (Some
-              (fun _ ->
-                incr events;
-                if !events = 500 then Limits.Interrupt.trip interrupt)))
+              (fun () ->
+                incr polls;
+                if !polls = 8 then Limits.Interrupt.trip interrupt;
+                false)))
   in
   let r = Run.solve ~interrupt ~config (hard_formula ()) in
   Alcotest.check Util.outcome "unknown" ST.Unknown r.Run.outcome;

@@ -134,7 +134,7 @@ let stats_line (st : ST.stats) =
      rst=%d del=%d"
     st.decisions st.propagations st.pure_assignments st.conflicts st.solutions
     st.learned_clauses st.learned_cubes st.backjumps st.chrono_fallbacks
-    st.max_decision_level st.restarts_done st.deleted_constraints
+    st.max_decision_level st.restarts st.deleted_constraints
 
 let dia_stats name style =
   let module D = Qbf_models.Diameter in
@@ -162,7 +162,7 @@ let dia_stats name style =
       t.backjumps <- t.backjumps + d.backjumps;
       t.chrono_fallbacks <- t.chrono_fallbacks + d.chrono_fallbacks;
       t.max_decision_level <- max t.max_decision_level d.max_decision_level;
-      t.restarts_done <- t.restarts_done + d.restarts_done;
+      t.restarts <- t.restarts + d.restarts;
       t.deleted_constraints <- t.deleted_constraints + d.deleted_constraints)
     r.D.per_bound;
   stats_line t

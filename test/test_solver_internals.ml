@@ -1,5 +1,5 @@
-(* Solver-internal tests: the Vec container, event stream, state
-   bookkeeping invariants, learning machinery and the aux-hint cover. *)
+(* Solver-internal tests: the Vec container, state bookkeeping
+   invariants, learning machinery and the aux-hint cover. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -27,32 +27,6 @@ let test_vec () =
   (match V.get v 100 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected out-of-bounds failure")
-
-let test_event_stream () =
-  (* Every decision is eventually matched by a backtrack or ends the
-     search; leaves appear between them; the trace is well-nested. *)
-  let events = ref [] in
-  let config =
-    ST.(
-      default_config |> with_learning false
-      |> with_on_event (Some (fun e -> events := e :: !events)))
-  in
-  let f = Util.paper_formula_1 () in
-  let r = Qbf_solver.Engine.solve ~config f in
-  Alcotest.check Util.outcome "false" ST.False r.ST.outcome;
-  let decisions =
-    List.length
-      (List.filter (function ST.E_decide _ | ST.E_flip _ -> true | _ -> false)
-         !events)
-  in
-  let leaves =
-    List.length
-      (List.filter
-         (function ST.E_conflict_leaf | ST.E_solution_leaf -> true | _ -> false)
-         !events)
-  in
-  Alcotest.(check int) "decisions recorded" r.ST.stats.ST.decisions decisions;
-  Alcotest.(check int) "leaves recorded" (ST.nodes r.ST.stats) leaves
 
 let test_stats_consistency () =
   let rng = Qbf_gen.Rng.create 123 in
@@ -232,7 +206,6 @@ let test_duplicate_clauses () =
 let suite =
   [
     Alcotest.test_case "vec container" `Quick test_vec;
-    Alcotest.test_case "event stream consistency" `Quick test_event_stream;
     Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
     Alcotest.test_case "learning = chrono on structured suite" `Quick
       test_learning_equivalence_on_suite;

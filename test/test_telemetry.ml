@@ -18,24 +18,29 @@ module Telemetry = Qbf_serve.Telemetry
 (* Snapshot construction *)
 
 (* A deterministic pseudo-random engine snapshot: drive a real metrics
-   registry the way the engine would, so merge tests cover the actual
-   counter/gauge/histogram/per-level shapes. *)
+   registry and stats record the way the engine would, so merge tests
+   cover the actual counter/gauge/histogram/per-level shapes. *)
 let random_snapshot seed =
   let rng = Random.State.make [| seed |] in
-  let m = Metrics.create () in
+  let m = Metrics.create () and st = ST.empty_stats () in
   for _ = 1 to 50 + Random.State.int rng 100 do
     let plevel = Random.State.int rng 6 in
+    st.ST.decisions <- st.ST.decisions + 1;
     Metrics.on_decision m ~plevel ~dlevel:(Random.State.int rng 40);
-    if Random.State.int rng 3 = 0 then Metrics.on_propagation m;
+    if Random.State.int rng 3 = 0 then
+      st.ST.propagations <- st.ST.propagations + 1;
     if Random.State.int rng 5 = 0 then begin
-      Metrics.on_conflict m;
+      st.ST.conflicts <- st.ST.conflicts + 1;
+      st.ST.backjumps <- st.ST.backjumps + 1;
       let from_level = 2 + Random.State.int rng 20 in
       Metrics.on_backjump m ~from_level ~to_level:(Random.State.int rng from_level)
     end;
-    if Random.State.int rng 7 = 0 then
+    if Random.State.int rng 7 = 0 then begin
+      st.ST.learned_clauses <- st.ST.learned_clauses + 1;
       Metrics.on_learn_clause m ~size:(1 + Random.State.int rng 12)
+    end
   done;
-  Metrics.snapshot m
+  Metrics.snapshot ~counters:(ST.counters st) m
 
 let norm (s : Metrics.snapshot) = Metrics.snapshot_to_json s
 
@@ -358,14 +363,17 @@ let test_per_attempt_stats_in_reports () =
 let golden_registry () =
   let t = Telemetry.create ~now:100. () in
   let engine =
-    let m = Metrics.create () in
+    let m = Metrics.create () and st = ST.empty_stats () in
     Metrics.on_decision m ~plevel:0 ~dlevel:1;
     Metrics.on_decision m ~plevel:1 ~dlevel:2;
-    Metrics.on_propagation m;
-    Metrics.on_conflict m;
     Metrics.on_backjump m ~from_level:2 ~to_level:0;
     Metrics.on_learn_clause m ~size:3;
-    Metrics.snapshot m
+    st.ST.decisions <- 2;
+    st.ST.propagations <- 1;
+    st.ST.conflicts <- 1;
+    st.ST.backjumps <- 1;
+    st.ST.learned_clauses <- 1;
+    Metrics.snapshot ~counters:(ST.counters st) m
   in
   let span phase calls wall_s =
     { Profile.phase; calls; wall_s; cpu_s = wall_s /. 2. }

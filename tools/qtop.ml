@@ -119,8 +119,9 @@ let render j =
           in
           Printf.printf
             "engine    %d decisions, %d propagations, %d conflicts, %d \
-             solutions (all workers)\n"
-            (c "decisions") (c "propagations") (c "conflicts") (c "solutions");
+             solutions, %d fallbacks (all workers)\n"
+            (c "decisions") (c "propagations") (c "conflicts") (c "solutions")
+            (c "chrono_fallbacks");
           List.iter
             (fun (name, h) ->
               if h.Metrics.count > 0 then
