@@ -4,8 +4,10 @@
    it through the supervised worker pool of Qbf_serve: forked workers
    under per-job limits, failure classification on every worker death,
    retry with jittered backoff and budget escalation, portfolio racing
-   with first-answer-wins cancellation, result memoization by canonical
-   formula hash, and in-process degradation when fork is unavailable.
+   with first-answer-wins cancellation, and result memoization by
+   canonical formula hash.  A worker that cannot be spawned is tried
+   again on a later round; while none runs, waiting jobs fail their
+   round as `spawn` failures and retry.
 
    Batch lines are either a bare instance path, or a JSON object:
 
@@ -125,6 +127,7 @@ let run batch workers race_arg retries timeout mem_limit max_nodes grace hang
           (String.concat ", " Worker.known_labels))
     race;
   if race = [] then batch_error "empty --race list";
+  if workers < 1 then batch_error "--workers wants at least 1";
   if faults < 0.0 || faults > 1.0 then
     batch_error "--inject-faults wants a probability in [0,1]";
   let jobs = parse_batch (read_batch batch) in
@@ -239,9 +242,12 @@ let batch_arg =
 let workers_arg =
   Arg.(value & opt int 2
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker pool size.  $(b,0) solves in-process (no isolation, \
-              no racing) — the same degraded mode used when fork is \
-              unavailable.")
+        ~doc:"Worker pool size, at least 1.  A worker that cannot be \
+              spawned (no fork, or file descriptors or processes \
+              exhausted) is tried again on a later round; while the \
+              pool is empty, every job waiting for a worker fails that \
+              round as a $(b,spawn) failure and is retried like any \
+              transient failure.")
 
 let race_arg =
   Arg.(value & opt string "po-watched,to-watched"
@@ -257,8 +263,8 @@ let retries_arg =
   Arg.(value & opt int 6
     & info [ "retries" ] ~docv:"N"
         ~doc:"Retry rounds after the first, for transient failures \
-              (crash, signal, OOM, hang, garbage, timeout).  Input \
-              errors never retry.")
+              (crash, signal, OOM, hang, garbage, timeout, spawn).  \
+              Input errors never retry.")
 
 let timeout_arg =
   Arg.(value & opt (some float) None

@@ -15,6 +15,7 @@ type t =
   | Garbage
   | Truncated
   | Hang
+  | Spawn
   | Input of string
 
 let to_string = function
@@ -26,19 +27,21 @@ let to_string = function
   | Garbage -> "garbage"
   | Truncated -> "truncated"
   | Hang -> "hang"
+  | Spawn -> "spawn"
   | Input _ -> "input"
 
 let all_labels =
   [
     "timeout"; "resource"; "oom"; "crash"; "signal"; "garbage"; "truncated";
-    "hang"; "input";
+    "hang"; "spawn"; "input";
   ]
 
 let is_transient = function Input _ -> false | _ -> true
 
 let escalates_budget = function
   | Timeout | Resource -> true
-  | Oom | Crash _ | Signalled _ | Garbage | Truncated | Hang | Input _ ->
+  | Oom | Crash _ | Signalled _ | Garbage | Truncated | Hang | Spawn | Input _
+    ->
       false
 
 (* SIGKILL is how the kernel's OOM killer (and our own last-resort
@@ -52,8 +55,10 @@ let of_process_status = function
   | Unix.WSIGNALED s -> Some (Signalled s)
   | Unix.WSTOPPED s -> Some (Signalled s)
 
-let of_stop_reason = function
-  | Run.Timeout -> Timeout
-  | Run.Interrupted Limits.Interrupt.Memory -> Oom
-  | Run.Interrupted _ -> Resource
-  | Run.Node_budget | Run.Budget -> Resource
+(* The wire carries a worker's Run.stop_reason as its rendering
+   (Run.string_of_stop_reason): the deadline and the memory guard have
+   their own classes, every other budget or interrupt is [Resource]. *)
+let of_stopped = function
+  | "timeout" -> Timeout
+  | "memory" -> Oom
+  | _ -> Resource

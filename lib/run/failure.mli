@@ -10,9 +10,12 @@
 type t =
   | Timeout  (** the attempt's wall budget expired (clean [Unknown]) *)
   | Resource
-      (** another budget ended it in-process: node cap or the memory
-          guard (clean [Unknown] with a non-timeout stop reason) *)
-  | Oom  (** the worker was SIGKILLed — the OOM killer's signature *)
+      (** another budget or an interrupt ended it in-process, such as
+          the node cap (clean [Unknown] with a stop reason other than
+          the deadline or the memory guard) *)
+  | Oom
+      (** the worker was SIGKILLed — the OOM killer's signature — or
+          its memory guard stopped the attempt *)
   | Crash of int  (** the worker exited with this nonzero code *)
   | Signalled of int
       (** the worker died on a signal other than KILL/TERM (segfault,
@@ -20,12 +23,15 @@ type t =
   | Garbage  (** the worker's output stream could not be decoded *)
   | Truncated  (** the stream ended mid-frame *)
   | Hang  (** no heartbeat or answer within the supervision deadline *)
+  | Spawn
+      (** no worker could be started for the attempt (pipe or fork
+          failed, or the runtime has no fork) *)
   | Input of string  (** the instance itself is unreadable — permanent *)
 
 val to_string : t -> string
 (** Stable lowercase label, used as a JSON counter key:
     ["timeout"], ["resource"], ["oom"], ["crash"], ["signal"],
-    ["garbage"], ["truncated"], ["hang"], ["input"]. *)
+    ["garbage"], ["truncated"], ["hang"], ["spawn"], ["input"]. *)
 
 val all_labels : string list
 (** Every label {!to_string} can produce, for exhaustive reporting. *)
@@ -46,5 +52,8 @@ val of_process_status : Unix.process_status -> t option
     [Signalled]; the supervisor filters cancellations before calling
     this. *)
 
-val of_stop_reason : Run.stop_reason -> t
-(** Classify an in-process [Unknown] report. *)
+val of_stopped : string -> t
+(** Classify an [Unknown] answer by its stop reason as the wire carries
+    it ({!Run.string_of_stop_reason}): [Timeout] for ["timeout"], [Oom]
+    for ["memory"] (the memory guard), [Resource] for every other
+    budget or interrupt. *)

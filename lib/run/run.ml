@@ -68,11 +68,6 @@ let load ?format path =
   | exception End_of_file ->
       Error (Run_error.Io { file = path; msg = "truncated read" })
 
-let load_exn ?format path =
-  match load ?format path with
-  | Ok f -> f
-  | Error e -> raise (Run_error.Error e)
-
 (* ------------------------------------------------------------------ *)
 (* Budgeted, interruptible solving                                     *)
 
@@ -93,8 +88,8 @@ let string_of_stop_reason = function
   | Node_budget -> "node-budget"
   | Budget -> "budget"
 
-(* The one report shape for a budgeted solve: [solve], [Session.solve]
-   and the serving worker all report through [make_report]. *)
+(* The one report shape for a budgeted solve: [solve] builds it with
+   [make_report], and the serving worker ships it over its pipe. *)
 type report = {
   outcome : ST.outcome;
   time : float;
@@ -108,8 +103,7 @@ type report = {
 (* Why an [Unknown] solve ended, in priority order: an interrupt beats
    the deadline beats the node budget beats the rest — the same order
    the engine's budget check polls them.  [nodes] are the leaves the
-   engine compared against [max_nodes] (cumulative session totals for a
-   session call, this run's count otherwise). *)
+   engine compared against [max_nodes]. *)
 let stopped_of ~interrupt ~deadline ~max_nodes ~nodes = function
   | ST.True | ST.False -> None
   | ST.Unknown ->
@@ -225,108 +219,19 @@ let solve ?(limits = Limits.default) ?interrupt ?(config = ST.default_config)
     ~nodes:(ST.nodes r.ST.stats) r
 
 (* ------------------------------------------------------------------ *)
-(* Worker-side entry: load + solve in one call                         *)
+(* Job sources                                                         *)
 
 type source = Path of string | Inline of string
 
 let source_label = function Path p -> p | Inline _ -> "<inline>"
 
-(* The entry point a serving worker runs per job: structured load (the
-   format is sniffed; [Inline] text gets a synthetic diagnostic label),
-   then a budgeted solve.  Nothing escapes as an exception on the input
-   side, so a worker never dies on a malformed instance — it reports the
-   error over its pipe instead. *)
-let solve_source ?limits ?interrupt ?config ?proof_file src =
-  let loaded =
-    match src with
-    | Path p -> load p
-    | Inline text -> load_string ~file:"<inline>" text
-  in
-  Result.map (fun f -> solve ?limits ?interrupt ?config ?proof_file f) loaded
-
-(* ------------------------------------------------------------------ *)
-(* Budgeted incremental sessions                                       *)
-
-(* The session analogue of [solve]: one growable Qbf_solver.Session
-   behind the same limit plumbing.  The wall-clock budget is per call —
-   each [solve] gets a fresh deadline — while [max_nodes] necessarily
-   stays cumulative (the engine compares it against the session's
-   running totals).  The memory guard is installed only around solves,
-   so building a large extension between calls never trips it. *)
-module Session = struct
-  type session = {
-    raw : Qbf_solver.Session.t;
-    limits : Limits.t;
-    interrupt : Limits.Interrupt.t;
-    config : ST.config; (* the effective config, for snapshots *)
-  }
-
-  type t = session
-
-  let make ?(limits = Limits.default) ?interrupt
-      ?(config = ST.default_config) ?validate seed =
-    let interrupt =
-      match interrupt with Some i -> i | None -> Limits.Interrupt.create ()
-    in
-    let config =
-      ST.with_budgets
-        (fun b ->
-          {
-            b with
-            ST.stop_flag =
-              (match b.ST.stop_flag with
-              | None -> Some (Limits.Interrupt.flag interrupt)
-              | Some _ as user -> user);
-            stop_interval = max 1 limits.Limits.poll_interval;
-            max_nodes = min_opt b.ST.max_nodes limits.Limits.max_nodes;
-          })
-        config
-    in
-    let raw =
-      match seed with
-      | None -> Qbf_solver.Session.create ~config ?validate ()
-      | Some f -> Qbf_solver.Session.of_formula ~config ?validate f
-    in
-    { raw; limits; interrupt; config }
-
-  let create ?limits ?interrupt ?config ?validate () =
-    make ?limits ?interrupt ?config ?validate None
-
-  let of_formula ?limits ?interrupt ?config ?validate f =
-    make ?limits ?interrupt ?config ?validate (Some f)
-
-  let raw t = t.raw
-  let interrupt t = t.interrupt
-  let stats t = Qbf_solver.Session.stats t.raw
-
-  let solve ?assumptions t =
-    let deadline =
-      match t.limits.Limits.timeout_s with
-      | None -> Limits.Deadline.never
-      | Some s -> Limits.Deadline.after ~clock:t.limits.Limits.clock s
-    in
-    let guard =
-      Option.map
-        (fun mb -> Limits.Mem_guard.install ~limit_mb:mb t.interrupt)
-        t.limits.Limits.mem_mb
-    in
-    let t0 = t.limits.Limits.clock () in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Limits.Mem_guard.remove guard)
-        (fun () ->
-          Qbf_solver.Session.solve ?assumptions
-            ~should_stop:(fun () -> Limits.Deadline.expired deadline)
-            t.raw)
-    in
-    let time = t.limits.Limits.clock () -. t0 in
-    (* [max_nodes] is compared against the session's cumulative totals,
-       not this call's delta — hence the session-wide node count. *)
-    make_report ~interrupt:t.interrupt ~deadline ~config:t.config ~time
-      ~nodes:(ST.nodes (Qbf_solver.Session.stats t.raw)) r
-
-  let dispose t = Qbf_solver.Session.dispose t.raw
-end
+(* The one loader for a serving job's instance, used by the worker
+   before it solves and by the supervisor when it ingests a job and
+   when it re-checks a certificate.  The format is sniffed; [Inline]
+   text gets a synthetic diagnostic label. *)
+let load_source = function
+  | Path p -> load p
+  | Inline text -> load_string ~file:"<inline>" text
 
 (* ------------------------------------------------------------------ *)
 (* Budget-escalation portfolio                                         *)

@@ -27,9 +27,6 @@ val load_string :
   (Qbf_core.Formula.t, Run_error.t) result
 (** Same on in-memory contents; [file] only labels diagnostics. *)
 
-val load_exn : ?format:format -> string -> Qbf_core.Formula.t
-(** Exception shim: raises {!Run_error.Error}. *)
-
 type stop_reason =
   | Timeout  (** the wall-clock deadline expired *)
   | Interrupted of Limits.Interrupt.reason
@@ -41,16 +38,15 @@ type stop_reason =
 
 val string_of_stop_reason : stop_reason -> string
 
-(** The one report shape for a budgeted solve, shared by {!solve},
-    {!Session.solve} and the serving worker. *)
+(** The one report shape for a budgeted solve, shared by {!solve} and
+    the serving worker. *)
 type report = {
   outcome : ST.outcome;
   time : float;  (** seconds, measured by the limits' clock *)
   stats : ST.stats;  (** complete even when stopped early *)
   witness : ST.witness;
-      (** certificate of a conclusive outcome, when [proof_file] (or a
-          session's proof writer) was attached and the run fully
-          derived its conclusion *)
+      (** certificate of a conclusive outcome, when [proof_file] was
+          attached and the run fully derived its conclusion *)
   stopped : stop_reason option;  (** [None] iff the outcome is conclusive *)
   metrics : Qbf_obs.Metrics.snapshot option;
       (** metrics-registry snapshot, when [config.obs] carried a
@@ -87,59 +83,10 @@ type source = Path of string | Inline of string
 val source_label : source -> string
 (** The path, or ["<inline>"] — used in diagnostics and reports. *)
 
-val solve_source :
-  ?limits:Limits.t ->
-  ?interrupt:Limits.Interrupt.t ->
-  ?config:ST.config ->
-  ?proof_file:string ->
-  source ->
-  (report, Run_error.t) result
-(** The worker-side entry of the serving layer: {!load} (format
-    sniffed) then {!solve} under the same limit plumbing.  Input
-    failures come back as structured errors, so a supervised worker
-    reports them over its pipe instead of dying. *)
-
-(** The session analogue of {!solve}: a growable
-    {!Qbf_solver.Session} behind the same limit plumbing.  The
-    wall-clock budget and the memory guard apply {e per call} — each
-    [solve] gets a fresh deadline, and the guard is installed only
-    while solving — whereas a [max_nodes] limit is necessarily
-    cumulative over the session's lifetime (the engine compares it
-    against the session's running totals).  An interrupt stays tripped
-    across calls until {!Limits.Interrupt.clear}ed. *)
-module Session : sig
-  type t
-
-  val create :
-    ?limits:Limits.t ->
-    ?interrupt:Limits.Interrupt.t ->
-    ?config:ST.config ->
-    ?validate:bool ->
-    unit ->
-    t
-
-  val of_formula :
-    ?limits:Limits.t ->
-    ?interrupt:Limits.Interrupt.t ->
-    ?config:ST.config ->
-    ?validate:bool ->
-    Qbf_core.Formula.t ->
-    t
-
-  val raw : t -> Qbf_solver.Session.t
-  (** The underlying session, for growth calls ([add_clause],
-      [extend_prefix], [push]/[pop], ...). *)
-
-  val interrupt : t -> Limits.Interrupt.t
-
-  val solve : ?assumptions:Qbf_core.Lit.t list -> t -> report
-  (** One budgeted call; [report.stats] is this call's delta. *)
-
-  val stats : t -> ST.stats
-  (** Cumulative totals over the whole session. *)
-
-  val dispose : t -> unit
-end
+val load_source : source -> (Qbf_core.Formula.t, Run_error.t) result
+(** {!load} a [Path] (format sniffed), or {!load_string} an [Inline]
+    text labelled ["<inline>"] in diagnostics: the one loader of the
+    serving layer's worker and supervisor. *)
 
 type attempt = {
   label : string;

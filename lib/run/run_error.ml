@@ -13,8 +13,6 @@ type t =
       (* the input parsed but is not a well-formed QBF (e.g. a clause
          literal outside the prefix, a doubly bound variable) *)
 
-exception Error of t
-
 let to_string = function
   | Io { file; msg } -> Printf.sprintf "%s: %s" file msg
   | Parse { file; line; col; msg } ->
@@ -22,14 +20,9 @@ let to_string = function
       else Printf.sprintf "%s: %s" file msg
   | Invalid { file; msg } -> Printf.sprintf "%s: %s" file msg
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 (* All input errors share one exit code, distinct from the solver's
    10/20/30 outcome codes. *)
 let exit_code (_ : t) = 2
-
-let file = function
-  | Io { file; _ } | Parse { file; _ } | Invalid { file; _ } -> file
 
 (* Positioned parser errors with an unknown position (line 0) are
    whole-formula validation failures, not syntax errors. *)

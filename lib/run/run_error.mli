@@ -11,16 +11,10 @@ type t =
   | Parse of { file : string; line : int; col : int; msg : string }
   | Invalid of { file : string; msg : string }
 
-exception Error of t
-(** Thin shim for callers that prefer exceptions; see {!Run.load_exn}. *)
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val exit_code : t -> int
 (** Always 2, distinct from the solver's 10/20/30 outcome codes. *)
-
-val file : t -> string
 
 val of_qdimacs : file:string -> Qbf_io.Qdimacs.error -> t
 val of_nqdimacs : file:string -> Qbf_io.Nqdimacs.error -> t

@@ -7,9 +7,11 @@
    SIGTERM/SIGKILL escalation, waitpid reaping — and leaves policy
    (scheduling, retries, racing) to the supervisor.
 
-   When [fork] is unavailable (non-Unix runtime) or starts failing
-   (EAGAIN under pressure), [spawn] returns [Error], and the supervisor
-   degrades to in-process solving. *)
+   When [fork] is unavailable (non-Unix runtime) or a pipe or fork
+   fails (EMFILE or EAGAIN under pressure), [spawn] returns [Error]
+   rather than raising: the supervisor counts it, tries again on a
+   later round, and fails the attempts of an empty pool as [spawn]
+   failures. *)
 
 type state =
   | Idle

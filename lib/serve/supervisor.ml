@@ -20,11 +20,12 @@
      losers are cancelled (SIGTERM, then SIGKILL after a grace period),
      per the quantifier-structure observation that no single branching
      order dominates;
-   - results are {e memoized} by canonical formula hash, so duplicate
-     instances in a batch — or re-submissions — answer from cache;
-   - when [fork] is unavailable or the pool cannot be (re)populated,
-     the supervisor {e degrades} to solving in-process, slower but
-     never refusing the batch. *)
+   - results are {e memoized} by canonical formula hash: when a job
+     settles, every unfinished duplicate in the batch takes its answer;
+   - a worker that cannot be spawned is counted and tried again on a
+     later round; while the pool is empty, each job waiting for a
+     worker fails that round as a [spawn] failure, so the retry cap
+     bounds the wait. *)
 
 module ST = Qbf_solver.Solver_types
 module Run = Qbf_run.Run
@@ -37,19 +38,16 @@ module Trace = Qbf_obs.Trace
 (* Policy                                                              *)
 
 type policy = {
-  workers : int; (* pool size; 0 forces in-process solving *)
+  workers : int; (* pool size, at least 1 *)
   race : string list; (* config labels raced per attempt round *)
   retries : int; (* extra rounds after the first *)
   backoff_base_s : float;
-  backoff_factor : float;
   backoff_max_s : float;
-  jitter : float; (* fraction of the delay drawn uniformly at random *)
   grace_s : float; (* SIGTERM -> SIGKILL window *)
   hang_s : float; (* heartbeat silence that declares a hang *)
   timeout_s : float option; (* batch-default per-attempt budget *)
   mem_mb : int option;
   max_nodes : int option;
-  escalate : float; (* budget multiplier after a budget-shaped failure *)
   fault_p : float; (* per-dispatch injected-fault probability *)
   cache : bool;
   stats : bool; (* workers collect + ship metrics/profile snapshots *)
@@ -68,15 +66,12 @@ let default_policy =
     race = [ "po-watched"; "to-watched" ];
     retries = 6;
     backoff_base_s = 0.05;
-    backoff_factor = 2.0;
     backoff_max_s = 2.0;
-    jitter = 0.5;
     grace_s = 1.0;
     hang_s = 2.0;
     timeout_s = None;
     mem_mb = None;
     max_nodes = None;
-    escalate = 2.0;
     fault_p = 0.0;
     cache = true;
     stats = true;
@@ -84,16 +79,24 @@ let default_policy =
     seed = 0;
   }
 
+(* Retry pacing: the backoff grows by [backoff_factor] per round up to
+   [backoff_max_s], plus up to [jitter] of itself at random, and a
+   budget-shaped failure multiplies the next round's budget by
+   [escalate]. *)
+let backoff_factor = 2.0
+let jitter = 0.5
+let escalate = 2.0
+
 (* ------------------------------------------------------------------ *)
 (* Per-job reports                                                     *)
 
 (* Per-attempt engine statistics, recovered from worker stats frames
-   (or collected directly on the inline path) and kept in the
-   telemetry registry.  Each attempt keeps its latest snapshot, so even
-   a killed attempt's partial work survives into the job's report. *)
+   and kept in the telemetry registry.  Each attempt keeps its latest
+   snapshot, so even a killed attempt's partial work survives into the
+   job's report. *)
 type attempt_stats = {
   as_attempt : int;
-  as_pid : int; (* 0 on the inline path *)
+  as_pid : int;
   as_metrics : Qbf_obs.Metrics.snapshot option;
   as_profile : Qbf_obs.Profile.snapshot option;
 }
@@ -104,7 +107,7 @@ type report = {
   r_outcome : ST.outcome;
   r_time : float; (* solve time of the winning attempt (0 if cached) *)
   r_wall : float; (* first-dispatch-to-answer wall time *)
-  r_config : string; (* winning label, or "cache" / "inline" / "" *)
+  r_config : string; (* winning label, or "cache" / "" *)
   r_attempts : int; (* dispatches sent for this job *)
   r_retries : int; (* rounds beyond the first *)
   r_failures : (string * int) list; (* failure-class counts, this job *)
@@ -193,7 +196,6 @@ type jstate =
 type jrec = {
   job : Protocol.job;
   mutable hash : string option; (* canonical hash, when cache is on *)
-  mutable probed : bool; (* cache already consulted for this job *)
   mutable state : jstate;
   mutable round : int;
   mutable attempts : int;
@@ -208,14 +210,6 @@ type jrec = {
   mutable result : report option;
 }
 
-(* The stop-reason string a worker reports, mapped back to a failure
-   class (the worker saw Run.stop_reason; the wire carries its
-   rendering). *)
-let failure_of_stopped = function
-  | "timeout" -> Failure.Timeout
-  | "memory" -> Failure.Oom
-  | _ -> Failure.Resource
-
 (* ------------------------------------------------------------------ *)
 (* The supervisor state                                                *)
 
@@ -223,12 +217,10 @@ type t = {
   policy : policy;
   obs : Qbf_obs.Obs.t;
   tel : Telemetry.t; (* every counter, histogram and attempt snapshot *)
-  cache : Cache.t;
   rng : Random.State.t;
   jobs : jrec array;
   mutable pool : Pool.worker list;
-  mutable spawn_seq : int; (* worker ordinal, for per-worker seeds *)
-  mutable fork_broken : bool; (* spawn failed; stop trying *)
+  mutable spawn_seq : int; (* workers spawned, for per-worker seeds *)
   interrupt : Limits.Interrupt.t option; (* batch-level Ctrl-C / SIGTERM *)
   on_report : report -> unit;
 }
@@ -260,34 +252,27 @@ let now () = Unix.gettimeofday ()
 (* ------------------------------------------------------------------ *)
 (* Spawning and despawning                                             *)
 
+(* A failed spawn (no fork, or pipes or processes exhausted) is
+   counted and left for the next round's [fill_pool] to try again. *)
 let spawn_worker t =
-  if t.fork_broken then None
-  else begin
-    t.spawn_seq <- t.spawn_seq + 1;
-    match
-      Pool.spawn ~stats:t.policy.stats ~fault_p:t.policy.fault_p
-        ~seed:(t.policy.seed + (7919 * t.spawn_seq))
-        ()
-    with
-    | Ok w ->
-        Telemetry.incr t.tel "spawns";
-        trace t Trace.Serve_spawn ~dlevel:w.Pool.pid ~plevel:0 ~arg:0;
-        t.pool <- t.pool @ [ w ];
-        Some w
-    | Error msg ->
-        Telemetry.incr t.tel "spawn_failures";
-        t.fork_broken <- true;
-        trace t Trace.Serve_spawn ~dlevel:0 ~plevel:0 ~arg:(-1);
-        ignore msg;
-        None
-  end
+  match
+    Pool.spawn ~stats:t.policy.stats ~fault_p:t.policy.fault_p
+      ~seed:(t.policy.seed + (7919 * (t.spawn_seq + 1)))
+      ()
+  with
+  | Ok w ->
+      t.spawn_seq <- t.spawn_seq + 1;
+      Telemetry.incr t.tel "spawns";
+      trace t Trace.Serve_spawn ~dlevel:w.Pool.pid ~plevel:0 ~arg:0;
+      t.pool <- t.pool @ [ w ];
+      true
+  | Error _ ->
+      Telemetry.incr t.tel "spawn_failures";
+      trace t Trace.Serve_spawn ~dlevel:0 ~plevel:0 ~arg:(-1);
+      false
 
 let fill_pool t =
-  while
-    (not t.fork_broken)
-    && List.length t.pool < t.policy.workers
-    && spawn_worker t <> None
-  do
+  while List.length t.pool < t.policy.workers && spawn_worker t do
     ()
   done
 
@@ -365,9 +350,11 @@ let cancel_siblings t j =
       | _ -> ())
     t.pool
 
-(* A conclusive answer: record, cache, cancel the losing racers, and
-   resolve any identical still-pending duplicates straight from the
-   cache (no point racing a formula whose answer just landed). *)
+(* A conclusive answer: record, cancel the losing racers, and answer
+   every unfinished job with an equal formula hash from it (no point
+   racing a formula whose answer just landed).  This is the only
+   memoization: the whole batch is known up front, so the duplicates
+   unfinished now are every job this answer can serve. *)
 let rec settle t j (report : report) =
   finish t j report;
   cancel_siblings t j;
@@ -375,8 +362,6 @@ let rec settle t j (report : report) =
     match j.hash with
     | None -> ()
     | Some h ->
-        Cache.add t.cache h
-          { Cache.outcome = report.r_outcome; solve_time = report.r_time };
         Array.iter
           (fun j' ->
             if j'.state <> Done && j'.hash = Some h then begin
@@ -428,17 +413,17 @@ let attempt_failed t j cls =
             j.round <- j.round + 1;
             Telemetry.incr t.tel "retries";
             if j.round_escalates then begin
-              j.budget_mult <- j.budget_mult *. t.policy.escalate;
+              j.budget_mult <- j.budget_mult *. escalate;
               Telemetry.incr t.tel "budget_escalations"
             end;
             j.round_escalates <- false;
             let p = t.policy in
             let base =
-              p.backoff_base_s *. (p.backoff_factor ** float_of_int (j.round - 1))
+              p.backoff_base_s *. (backoff_factor ** float_of_int (j.round - 1))
             in
             let base = Float.min base p.backoff_max_s in
             let delay =
-              base *. (1. +. (p.jitter *. Random.State.float t.rng 1.0))
+              base *. (1. +. (jitter *. Random.State.float t.rng 1.0))
             in
             j.queue <- p.race;
             j.state <- Backoff (now () +. delay);
@@ -463,17 +448,11 @@ let attempt_lost t (d : Protocol.dispatch) cls =
 
 (* Jobs are loaded once supervisor-side: an unreadable file or a parse
    error is a permanent Input failure that must not burn worker
-   retries, and the loaded formula gives the cache key.  Workers
+   retries, and the loaded formula gives the memoization key.  Workers
    re-load from the source themselves (cheaper than shipping the
    formula, and it keeps the wire format trivial). *)
 let ingest t j =
-  let src = j.job.Protocol.source in
-  let loaded =
-    match src with
-    | Run.Path p -> Run.load p
-    | Run.Inline text -> Run.load_string ~file:"<inline>" text
-  in
-  match loaded with
+  match Run.load_source j.job.Protocol.source with
   | Error e ->
       record_failure t j (Failure.Input (Qbf_run.Run_error.to_string e));
       finish t j
@@ -482,32 +461,6 @@ let ingest t j =
           r_error = Some (Qbf_run.Run_error.to_string e);
         }
   | Ok f -> if t.policy.cache then j.hash <- Some (Hash.formula f)
-
-(* One cache probe per job, at first dispatch (not ingress): entries
-   only appear when a job settles, and settling already resolves its
-   pending duplicates directly, so a single probe is complete. *)
-let try_cache t j =
-  t.policy.cache && not j.probed
-  && begin
-    j.probed <- true;
-    match j.hash with
-    | None -> false
-    | Some h -> (
-        match Cache.find t.cache h with
-        | None ->
-            Telemetry.incr t.tel "cache_misses";
-            false
-        | Some e ->
-            Telemetry.incr t.tel "cache_hits";
-            finish t j
-              {
-                (base_report j) with
-                r_outcome = e.Cache.outcome;
-                r_config = "cache";
-                r_cached = true;
-              };
-            true)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -560,13 +513,17 @@ let dispatch_for t j label =
 
 (* Hand one queued attempt to [w].  A write failure means the worker
    died between select rounds: put the label back and let the reaper
-   deal with the corpse. *)
+   deal with the corpse.  A job's first dispatch is its memoization
+   miss: no settled twin answered it before a worker had to. *)
 let dispatch_to t w j label =
   let d = dispatch_for t j label in
   match Protocol.write_frame w.Pool.to_worker (Protocol.json_of_dispatch d) with
   | () ->
       let ts = now () in
-      if j.first_dispatch = None then j.first_dispatch <- Some ts;
+      if j.first_dispatch = None then begin
+        j.first_dispatch <- Some ts;
+        if t.policy.cache then Telemetry.incr t.tel "cache_misses"
+      end;
       j.outstanding <- j.outstanding + 1;
       w.Pool.state <- Pool.Busy (d, ts);
       Telemetry.on_dispatch t.tel ~id:j.job.Protocol.id
@@ -582,7 +539,10 @@ let dispatch_to t w j label =
       false
 
 (* Release backoffs that have matured, then pair ready labels with idle
-   workers, jobs in submission order. *)
+   workers, jobs in submission order.  An empty pool here means the last
+   [fill_pool] could not spawn a worker: every job waiting for one fails
+   this round as [Spawn], and backoff and the retry cap bound the
+   wait. *)
 let schedule t =
   let ts = now () in
   Array.iter
@@ -599,7 +559,10 @@ let schedule t =
   Array.iter
     (fun j ->
       if j.state = Ready && j.queue <> [] then
-        if try_cache t j then ()
+        if t.pool = [] then begin
+          j.queue <- [];
+          attempt_failed t j Failure.Spawn
+        end
         else
           let rec drain () =
             match (j.queue, idle ()) with
@@ -630,12 +593,7 @@ let verify_certificate t j ~outcome proof =
       Telemetry.incr t.tel "unwitnessed_answers";
       Ok None
   | Some _, Some path -> (
-      let formula =
-        match j.job.Protocol.source with
-        | Run.Path p -> Run.load p
-        | Run.Inline text -> Run.load_string ~file:"<inline>" text
-      in
-      match formula with
+      match Run.load_source j.job.Protocol.source with
       | Error _ -> Ok None (* ingest already vetted the source *)
       | Ok f -> (
           match Qbf_check.Checker.check_file ~formula:f path with
@@ -694,7 +652,7 @@ let handle_answer t w (a : Protocol.answer) =
             | None, ST.Unknown ->
                 let cls =
                   match a.Protocol.a_stopped with
-                  | Some s -> failure_of_stopped s
+                  | Some s -> Failure.of_stopped s
                   | None -> Failure.Resource
                 in
                 attempt_failed t j cls
@@ -823,101 +781,6 @@ let reap_and_respawn t ~respawn =
   if respawn then fill_pool t
 
 (* ------------------------------------------------------------------ *)
-(* In-process fallback                                                 *)
-
-(* No pool (workers = 0, or fork is refusing): solve inline, one job at
-   a time, under the same budgets.  No racing, retries or crash
-   isolation, but the batch still completes, which is the point.  A
-   conclusive answer passes the same certificate check as a worker's;
-   an Unknown finishes its own job only, since only a conclusive answer
-   may be shared with duplicates. *)
-let solve_inline t j =
-  if j.state <> Done && not (try_cache t j) then begin
-    Telemetry.incr t.tel "inline_solves";
-    let ts = now () in
-    j.first_dispatch <- Some ts;
-    (* named before the attempt counts, as [dispatch_for] names it *)
-    let proof_file = proof_path_for t j in
-    j.attempts <- j.attempts + 1;
-    let config =
-      match Worker.config_of_label (List.nth_opt t.policy.race 0 |> Option.value ~default:"po-watched") with
-      | Some c -> c
-      | None -> ST.default_config
-    in
-    (* same per-attempt collector a worker would have; pid 0 marks the
-       inline path in attempt stats and correlations *)
-    let inline_obs =
-      if t.policy.stats then
-        Some
-          (Qbf_obs.Obs.make ~metrics:(Qbf_obs.Metrics.create ())
-             ~profile:(Qbf_obs.Profile.create ()) ())
-      else None
-    in
-    let config = ST.with_obs inline_obs config in
-    let p = t.policy in
-    let job = j.job in
-    let limits =
-      Limits.make
-        ?timeout_s:
-          (match job.Protocol.timeout_s with Some _ as s -> s | None -> p.timeout_s)
-        ?mem_mb:(match job.Protocol.mem_mb with Some _ as m -> m | None -> p.mem_mb)
-        ?max_nodes:
-          (match job.Protocol.max_nodes with Some _ as n -> n | None -> p.max_nodes)
-        ~poll_interval:64 ()
-    in
-    match
-      match
-        Run.solve_source ~limits ?interrupt:t.interrupt ~config ?proof_file
-          job.Protocol.source
-      with
-      | r -> r
-      | exception Sys_error msg ->
-          Error
-            (Qbf_run.Run_error.Io
-               { file = Option.value ~default:"" proof_file; msg })
-    with
-    | Error e ->
-        record_failure t j (Failure.Input (Qbf_run.Run_error.to_string e));
-        finish t j
-          {
-            (base_report j) with
-            r_error = Some (Qbf_run.Run_error.to_string e);
-          }
-    | Ok r -> (
-        Option.iter
-          (fun reason -> record_failure t j (Failure.of_stop_reason reason))
-          r.Run.stopped;
-        if inline_obs <> None then
-          Telemetry.on_stats t.tel ~id:j.job.Protocol.id ~attempt:j.attempts
-            ~pid:0 r.Run.metrics r.Run.profile;
-        let report =
-          {
-            (base_report j) with
-            r_outcome = r.Run.outcome;
-            r_time = r.Run.time;
-            r_config = "inline";
-            r_stopped = Option.map Run.string_of_stop_reason r.Run.stopped;
-            r_decisions = r.Run.stats.ST.decisions;
-            r_nodes = ST.nodes r.Run.stats;
-          }
-        in
-        match r.Run.outcome with
-        | ST.Unknown -> finish t j report
-        | ST.True | ST.False -> (
-            let proof =
-              match r.Run.witness with
-              | ST.Proof_trace { path; _ } -> Some path
-              | ST.No_witness -> None
-            in
-            match verify_certificate t j ~outcome:r.Run.outcome proof with
-            | Error _ ->
-                Telemetry.incr t.tel "proofs_rejected";
-                record_failure t j Failure.Garbage;
-                give_up t j
-            | Ok r_proof -> settle t j { report with r_proof }))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Shutdown                                                            *)
 
 let shutdown t =
@@ -967,10 +830,11 @@ let shutdown t =
 let all_done t = Array.for_all (fun j -> j.state = Done) t.jobs
 
 (* Next time anything is due: a backoff release, a hang deadline, a
-   SIGKILL deadline.  Bounded so a lost wakeup costs at most a beat. *)
+   SIGKILL deadline.  Bounded so a lost wakeup costs at most a beat;
+   nothing is due once [schedule] has given up the last jobs. *)
 let select_timeout t =
   let ts = now () in
-  let due = ref 0.25 in
+  let due = ref (if all_done t then 0. else 0.25) in
   let consider at = if at -. ts < !due then due := Float.max 0.001 (at -. ts) in
   Array.iter
     (fun j -> match j.state with Backoff at -> consider at | _ -> ())
@@ -999,30 +863,25 @@ let abandon_unfinished t =
           })
     t.jobs
 
-let run_pooled t =
+let main_loop t =
   fill_pool t;
   while not (all_done t) && not (interrupted t) do
-    if t.pool = [] && t.fork_broken then
-      (* degraded mode: no processes to be had *)
-      Array.iter (fun j -> solve_inline t j) t.jobs
-    else begin
-      schedule t;
-      let fds =
-        List.filter_map
-          (fun w -> if w.Pool.eof then None else Some w.Pool.from_worker)
+    schedule t;
+    let fds =
+      List.filter_map
+        (fun w -> if w.Pool.eof then None else Some w.Pool.from_worker)
+        t.pool
+    in
+    (match Unix.select fds [] [] (select_timeout t) with
+    | readable, _, _ ->
+        List.iter
+          (fun w ->
+            if List.memq w.Pool.from_worker readable then drain_worker t w)
           t.pool
-      in
-      (match Unix.select fds [] [] (select_timeout t) with
-      | readable, _, _ ->
-          List.iter
-            (fun w ->
-              if List.memq w.Pool.from_worker readable then drain_worker t w)
-            t.pool
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      check_hangs t;
-      reap_and_respawn t ~respawn:(not (all_done t));
-      Telemetry.tick t.tel
-    end
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    check_hangs t;
+    reap_and_respawn t ~respawn:(not (all_done t));
+    Telemetry.tick t.tel
   done;
   abandon_unfinished t;
   shutdown t
@@ -1032,6 +891,8 @@ let run_pooled t =
    summary's counts are its totals, so one registry serves one batch. *)
 let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
     ?(telemetry = Telemetry.create ()) ?on_report jobs =
+  if policy.workers < 1 then
+    invalid_arg "Supervisor.run: policy.workers must be at least 1";
   let t0 = now () in
   (* A worker can die between select and our write to it; the EPIPE is
      handled, the signal must not kill us. *)
@@ -1042,7 +903,6 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
       policy;
       obs;
       tel = telemetry;
-      cache = Cache.create ();
       rng = Random.State.make [| policy.seed; 0x5e12e |];
       jobs =
         Array.of_list
@@ -1051,7 +911,6 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
                {
                  job;
                  hash = None;
-                 probed = false;
                  state = Ready;
                  round = 0;
                  attempts = 0;
@@ -1068,7 +927,6 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
              jobs);
       pool = [];
       spawn_seq = 0;
-      fork_broken = policy.workers <= 0;
       interrupt;
       on_report =
         (match on_report with Some f -> f | None -> fun _ -> ());
@@ -1079,11 +937,7 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
       Telemetry.incr t.tel "jobs_submitted";
       ingest t j)
     t.jobs;
-  if t.fork_broken then begin
-    Array.iter (fun j -> if not (interrupted t) then solve_inline t j) t.jobs;
-    abandon_unfinished t
-  end
-  else run_pooled t;
+  main_loop t;
   let out =
     Array.to_list t.jobs
     |> List.filter_map (fun j -> j.result)

@@ -3,7 +3,7 @@
    Workers die — that is the design — so their in-process `lib/obs`
    registries die with them.  This module is where their statistics
    survive, and where the supervisor counts its own events: every
-   lifecycle event (spawn, reap, dispatch, retry, cache probe,
+   lifecycle event (spawn, reap, dispatch, retry, cache hit or miss,
    heartbeat, settled job, failure class) has one named cell here, and
    the batch summary, the JSON document and the Prometheus text all
    read the same cells.  It keeps:
@@ -60,8 +60,8 @@ type t = {
    the same); other counters appear on their first event. *)
 let families =
   [ "spawns"; "dispatches"; "retries"; "cache_hits"; "cache_misses";
-    "inline_solves"; "heartbeats"; "stats_frames"; "jobs_submitted";
-    "jobs_decided"; "jobs_unknown"; "jobs_errored" ]
+    "heartbeats"; "stats_frames"; "jobs_submitted"; "jobs_decided";
+    "jobs_unknown"; "jobs_errored" ]
   @ List.map (( ^ ) "workers_reaped_")
       [ "clean"; "crash"; "signal"; "oom"; "terminated" ]
   @ List.map (( ^ ) "failures_") Failure.all_labels
@@ -126,8 +126,8 @@ let on_heartbeat t ~nodes =
   incr t "heartbeats";
   t.hb_nodes <- t.hb_nodes + nodes
 
-(* The latest snapshots of one attempt: a worker's stats frame, or the
-   in-process solve's own collector (pid 0). *)
+(* The latest snapshots of one attempt, from its worker's stats
+   frame. *)
 let on_stats t ~id ~attempt ~pid metrics profile =
   incr t "stats_frames";
   Hashtbl.replace t.attempts (id, attempt) (pid, metrics, profile)

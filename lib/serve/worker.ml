@@ -10,9 +10,10 @@
       garbage), drawn from a per-worker seeded RNG so fault runs are
       reproducible — this is how the supervisor's recovery paths get
       exercised in CI and the fuzzer;
-   3. solves through Qbf_run.Run.solve_source under the job's limits,
-      sending heartbeat frames from inside the engine's budget poll so
-      the supervisor can tell "still searching" from "wedged";
+   3. loads the instance with Qbf_run.Run.load_source and solves it
+      with Run.solve under the job's limits, sending heartbeat frames
+      from inside the engine's budget poll so the supervisor can tell
+      "still searching" from "wedged";
    4. writes one result frame and loops.
 
    Workers never touch stdout/stderr (the supervisor owns them) and
@@ -207,15 +208,15 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     }
   in
   let answer =
-    (* [Sys_error] covers an unwritable proof path: the supervisor chose
-       it, so report it as a job error rather than dying on it. *)
-    match
-      Run.solve_source ~limits ~config ?proof_file:d.Protocol.d_proof
-        job.Protocol.source
-    with
-    | Ok report -> answer_of_report ~id ~attempt report
+    match Run.load_source job.Protocol.source with
     | Error e -> error_answer (Qbf_run.Run_error.to_string e)
-    | exception Sys_error msg -> error_answer msg
+    | Ok f -> (
+        (* [Sys_error] covers an unwritable proof path: the supervisor
+           chose it, so report it as a job error rather than dying on
+           it. *)
+        match Run.solve ~limits ~config ?proof_file:d.Protocol.d_proof f with
+        | report -> answer_of_report ~id ~attempt report
+        | exception Sys_error msg -> error_answer msg)
   in
   (* final snapshot first, so a supervisor processing the answer frame
      already holds this attempt's complete statistics *)

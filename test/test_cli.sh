@@ -76,6 +76,26 @@ expect 3 "qubed starved job stays unknown" \
   "$QUBED" --workers 1 --retries 0 "$tmp/starved.jsonl"
 
 expect 2 "qubed missing batch file" "$QUBED" "$tmp/no-such-batch.jsonl"
+expect 2 "qubed with no workers" "$QUBED" --workers 0 "$tmp/batch.jsonl"
+
+# ---- qubed when no worker can be spawned ---------------------------
+# With fds 3-9 closed and a limit of 4 descriptors, qubed can read its
+# batch but not open a worker's pipes.  Each job must fail its one round
+# as a `spawn` failure and the batch must end with exit 3, not hang.
+if command -v timeout >/dev/null 2>&1; then guard="timeout 60"; else guard=""; fi
+(
+  exec 3>&- 4>&- 5>&- 6>&- 7>&- 8>&- 9>&-
+  ulimit -n 4
+  exec $guard "$QUBED" --retries 0 --summary "$tmp/batch.jsonl"
+) > "$tmp/nospawn.out" 2>/dev/null
+got=$?
+[ "$got" -eq 3 ] || fail "qubed without spawnable workers: expected exit 3, got $got"
+[ "$(grep -c '"failures":{"spawn":1}' "$tmp/nospawn.out")" -eq 2 ] \
+  || fail "qubed without spawnable workers: a job did not fail once as spawn"
+[ "$(wc -l < "$tmp/nospawn.out")" -eq 3 ] \
+  || fail "qubed without spawnable workers: expected 2 status lines and a summary"
+grep -q '"type":"summary".*"spawns":0[,}]' "$tmp/nospawn.out" \
+  || fail "qubed without spawnable workers: summary does not read spawns 0"
 
 # ---- trace durability across SIGTERM -------------------------------
 # The JSONL trace sink must be flushed and closed on the signal exit

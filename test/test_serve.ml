@@ -1,12 +1,11 @@
-(* Serving layer (Qbf_serve): wire protocol, canonical hashing, result
-   cache, failure classification, and end-to-end supervised batches —
-   including the robustness contract that a fault-injected run decides
-   the same answers as a clean one. *)
+(* Serving layer (Qbf_serve): wire protocol, canonical hashing, failure
+   classification, and end-to-end supervised batches — including
+   memoization of duplicates and the robustness contract that a
+   fault-injected run decides the same answers as a clean one. *)
 
 module ST = Qbf_solver.Solver_types
 module Json = Qbf_obs.Json
 module Protocol = Qbf_serve.Protocol
-module Cache = Qbf_serve.Cache
 module Hash = Qbf_serve.Hash
 module Supervisor = Qbf_serve.Supervisor
 module Failure = Qbf_run.Failure
@@ -179,26 +178,6 @@ let test_hash_canonical () =
   Alcotest.(check int) "16 hex chars" 16 (String.length (hash_of_text a))
 
 (* ------------------------------------------------------------------ *)
-(* Result cache                                                        *)
-
-let test_cache_basics () =
-  let c = Cache.create ~capacity:2 () in
-  Alcotest.(check bool) "cold miss" true (Cache.find c "k1" = None);
-  Cache.add c "k1" { Cache.outcome = ST.True; solve_time = 0.1 };
-  (match Cache.find c "k1" with
-  | Some e -> Alcotest.check Util.outcome "hit" ST.True e.Cache.outcome
-  | None -> Alcotest.fail "expected a hit");
-  (* Unknown is a statement about a budget, not the formula: not cached *)
-  Cache.add c "k2" { Cache.outcome = ST.Unknown; solve_time = 0.1 };
-  Alcotest.(check bool) "unknown not cached" true (Cache.find c "k2" = None);
-  (* FIFO eviction once capacity is reached *)
-  Cache.add c "k3" { Cache.outcome = ST.False; solve_time = 0.1 };
-  Cache.add c "k4" { Cache.outcome = ST.False; solve_time = 0.1 };
-  Alcotest.(check int) "bounded" 2 (Cache.size c);
-  Alcotest.(check bool) "oldest evicted" true (Cache.find c "k1" = None);
-  Alcotest.(check bool) "newest kept" true (Cache.find c "k4" <> None)
-
-(* ------------------------------------------------------------------ *)
 (* Failure classification                                              *)
 
 let test_failure_classes () =
@@ -216,18 +195,27 @@ let test_failure_classes () =
   Alcotest.(check bool) "everything else retries" true
     (List.for_all Failure.is_transient
        [ Failure.Timeout; Failure.Oom; Failure.Crash 1; Failure.Garbage;
-         Failure.Truncated; Failure.Hang ]);
+         Failure.Truncated; Failure.Hang; Failure.Spawn ]);
   Alcotest.(check bool) "only budget-shaped failures escalate" true
     (Failure.escalates_budget Failure.Timeout
     && Failure.escalates_budget Failure.Resource
     && not (Failure.escalates_budget Failure.Oom)
-    && not (Failure.escalates_budget (Failure.Crash 1)));
+    && not (Failure.escalates_budget (Failure.Crash 1))
+    && not (Failure.escalates_budget Failure.Spawn));
+  Alcotest.(check string) "spawn label" "spawn"
+    (Failure.to_string Failure.Spawn);
+  Alcotest.(check bool) "every label listed" true
+    (List.mem "spawn" Failure.all_labels);
+  (* the stop reason travels as its rendering *)
+  let of_reason r = Failure.of_stopped (Qbf_run.Run.string_of_stop_reason r) in
   Alcotest.(check bool) "stop reasons map onto classes" true
-    (Failure.of_stop_reason Qbf_run.Run.Timeout = Failure.Timeout
-    && Failure.of_stop_reason
-         (Qbf_run.Run.Interrupted Qbf_run.Limits.Interrupt.Memory)
+    (of_reason Qbf_run.Run.Timeout = Failure.Timeout
+    && of_reason (Qbf_run.Run.Interrupted Qbf_run.Limits.Interrupt.Memory)
        = Failure.Oom
-    && Failure.of_stop_reason Qbf_run.Run.Node_budget = Failure.Resource)
+    && of_reason (Qbf_run.Run.Interrupted Qbf_run.Limits.Interrupt.Manual)
+       = Failure.Resource
+    && of_reason Qbf_run.Run.Node_budget = Failure.Resource
+    && of_reason Qbf_run.Run.Budget = Failure.Resource)
 
 (* ------------------------------------------------------------------ *)
 (* Supervised batches, end to end                                      *)
@@ -250,27 +238,28 @@ let test_supervisor_clean_batch () =
   Alcotest.(check int) "all decided" 3 summary.Supervisor.s_decided;
   Alcotest.(check bool) "answers" true
     (outcomes reports = [ (0, ST.True); (1, ST.False); (2, ST.True) ]);
-  (* job 2 is byte-identical to job 0: it must answer from the cache *)
+  (* job 2 is byte-identical to job 0: it must take job 0's answer *)
   let r2 = List.nth reports 2 in
   Alcotest.(check bool) "duplicate served from cache" true
     r2.Supervisor.r_cached;
   Alcotest.(check (option int)) "one cache hit counted" (Some 1)
     (List.assoc_opt "cache_hits" summary.Supervisor.s_counters);
+  (* every job is either a hit or, at its first dispatch, a miss *)
+  Alcotest.(check int) "hits + misses = jobs" 3
+    (List.assoc "cache_hits" summary.Supervisor.s_counters
+    + List.assoc "cache_misses" summary.Supervisor.s_counters);
   List.iter
     (fun r ->
       Alcotest.(check bool) "no failures on a clean run" true
         (r.Supervisor.r_failures = []))
-    reports
-
-let test_supervisor_inline_fallback () =
-  (* workers = 0 forces the degraded in-process path *)
-  let jobs = inline_jobs [ true_qbf; false_qbf ] in
-  let policy = { Supervisor.default_policy with Supervisor.workers = 0 } in
-  let reports, summary = Supervisor.run ~policy jobs in
-  Alcotest.(check bool) "answers survive degradation" true
-    (outcomes reports = [ (0, ST.True); (1, ST.False) ]);
-  Alcotest.(check bool) "inline solves accounted" true
-    (List.assoc "inline_solves" summary.Supervisor.s_counters > 0)
+    reports;
+  Alcotest.check_raises "a pool needs a worker"
+    (Invalid_argument "Supervisor.run: policy.workers must be at least 1")
+    (fun () ->
+      ignore
+        (Supervisor.run
+           ~policy:{ Supervisor.default_policy with Supervisor.workers = 0 }
+           jobs))
 
 (* A formula no configuration decides within one node. *)
 let budget_stopped_qbf () =
@@ -291,7 +280,9 @@ let test_inline_unknown_not_shared () =
   let policy =
     {
       Supervisor.default_policy with
-      Supervisor.workers = 0;
+      Supervisor.workers = 1;
+      race = [ "po-watched" ];
+      retries = 0;
       max_nodes = Some 1;
     }
   in
@@ -301,10 +292,10 @@ let test_inline_unknown_not_shared () =
       Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
         r.Supervisor.r_outcome;
       Alcotest.(check bool) "not a cache hit" false r.Supervisor.r_cached;
-      Alcotest.(check string) "solved inline" "inline" r.Supervisor.r_config)
+      Alcotest.(check int) "solved by a worker" 1 r.Supervisor.r_attempts)
     reports;
   Alcotest.(check int) "no cache hits" 0 (counter summary "cache_hits");
-  Alcotest.(check int) "both solved" 2 (counter summary "inline_solves")
+  Alcotest.(check int) "both solved" 2 (counter summary "dispatches")
 
 (* A fresh empty directory for certificates. *)
 let temp_dir prefix =
@@ -314,11 +305,13 @@ let temp_dir prefix =
   d
 
 let test_inline_certificates_checked () =
+  (* one worker: each job's first attempt answers, so every certificate
+     is named after attempt 1 *)
   let dir = temp_dir "test-serve-proofs" in
   let policy =
     {
       Supervisor.default_policy with
-      Supervisor.workers = 0;
+      Supervisor.workers = 1;
       proof_dir = Some dir;
     }
   in
@@ -332,7 +325,7 @@ let test_inline_certificates_checked () =
   List.iter
     (fun r ->
       match r.Supervisor.r_proof with
-      | None -> Alcotest.fail "conclusive inline answer without a proof"
+      | None -> Alcotest.fail "conclusive answer without a proof"
       | Some path ->
           Alcotest.(check string) "named after attempt 1"
             (Printf.sprintf "job%d-a1.qrp" r.Supervisor.r_id)
@@ -402,12 +395,9 @@ let suite =
     Alcotest.test_case "decoder split feed" `Quick test_decoder_split_feed;
     Alcotest.test_case "decoder garbage" `Quick test_decoder_garbage;
     Alcotest.test_case "canonical hash" `Quick test_hash_canonical;
-    Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "failure classes" `Quick test_failure_classes;
     Alcotest.test_case "supervised clean batch" `Quick
       test_supervisor_clean_batch;
-    Alcotest.test_case "in-process fallback" `Quick
-      test_supervisor_inline_fallback;
     Alcotest.test_case "in-process unknown not shared" `Quick
       test_inline_unknown_not_shared;
     Alcotest.test_case "in-process certificates checked" `Quick

@@ -314,15 +314,15 @@ let test_faulty_batch_reconciles () =
 
 let test_input_failures_reach_telemetry () =
   (* an unparsable job fails at ingest; a valid one whose certificate
-     cannot be created (the proof "directory" is a plain file) fails on
-     the in-process path: both must be counted in the summary and in
-     telemetry alike *)
+     cannot be created (the proof "directory" is a plain file) fails in
+     its worker, which answers with an input error: both must be
+     counted in the summary and in telemetry alike *)
   let not_a_dir = Filename.temp_file "test-telemetry" ".notdir" in
   let tel = Telemetry.create () in
   let policy =
     {
       Supervisor.default_policy with
-      Supervisor.workers = 0;
+      Supervisor.workers = 1;
       proof_dir = Some not_a_dir;
     }
   in
