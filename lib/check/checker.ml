@@ -43,13 +43,12 @@
 
 open Qbf_core
 
-type vinfo = { exist : bool; d : int; f : int }
-
 type cinfo = {
   term : bool;
   input : bool;
   mutable alive : bool;
-  lits : int list; (* sorted, duplicate-free DIMACS *)
+  lits : int array; (* sorted, duplicate-free DIMACS *)
+  pairs : int array; (* ascending variables carried with both polarities *)
 }
 
 type verdict = { conclusions : bool list; steps : int }
@@ -59,19 +58,55 @@ exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
+let undeclared = 0
+let existential = 1
+let universal = 2
+
+(* Every per-variable table is an array indexed by DIMACS variable (slot
+   0 unused).  [quant.(v)] stays [undeclared] until a [v] record
+   declares [v]; [d] and [f] hold its latest ≺-interval.  The working
+   set of a resolution chain lives in the same index space: [v] is in
+   it when [mem.(v)] equals the chain's epoch, with polarity [pol.(v)],
+   and is a merged pair when [mrg.(v)] equals it too.  [members] lists
+   the set's variables, plus a resolved pivot until the next reduction
+   filters it out.  A fresh epoch empties the set in O(1); an axiom
+   term's consistency check reuses [mem] and [pol] the same way. *)
 type st = {
-  vars : (int, vinfo) Hashtbl.t; (* DIMACS var -> latest declaration *)
+  mutable quant : int array;
+  mutable d : int array;
+  mutable f : int array;
+  mutable pol : int array;
+  mutable mem : int array;
+  mutable mrg : int array;
+  mutable members : int array;
+  mutable nmembers : int;
+  mutable epoch : int;
   cons : (int, cinfo) Hashtbl.t; (* proof id -> constraint *)
-  alive_inputs : (int, int list) Hashtbl.t; (* pid -> lits, for coverage *)
+  alive_inputs : (int, int array) Hashtbl.t; (* pid -> lits, for coverage *)
   alive_terms : (int, unit) Hashtbl.t; (* expired wholesale on growth *)
   mutable steps : int;
   mutable concl_rev : bool list;
   formula : Formula.t option;
-  fkeys : (int list, unit) Hashtbl.t; (* non-tautological matrix clauses *)
+  fkeys : (int array, unit) Hashtbl.t; (* non-tautological matrix clauses *)
 }
 
 let clause_key c =
-  List.sort_uniq compare (List.map Lit.to_dimacs (Clause.to_list c))
+  Array.of_list
+    (List.sort_uniq Int.compare (List.map Lit.to_dimacs (Clause.to_list c)))
+
+(* Formula mode sizes the tables once, from the formula.  Trust mode
+   starts empty and grows them on [v] records, up to the largest
+   variable count the QDIMACS loader accepts. *)
+let max_trust_var = Qbf_io.Qdimacs.max_declared_vars
+
+let resize st n =
+  let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+  st.quant <- grow st.quant;
+  st.d <- grow st.d;
+  st.f <- grow st.f;
+  st.pol <- grow st.pol;
+  st.mem <- grow st.mem;
+  st.mrg <- grow st.mrg
 
 let init formula =
   let fkeys = Hashtbl.create 256 in
@@ -83,8 +118,18 @@ let init formula =
             Hashtbl.replace fkeys (clause_key c) ())
         (Formula.matrix f)
   | None -> ());
+  let n = match formula with Some f -> Formula.nvars f + 1 | None -> 1 in
+  let table () = Array.make n 0 in
   {
-    vars = Hashtbl.create 256;
+    quant = table ();
+    d = table ();
+    f = table ();
+    pol = table ();
+    mem = table ();
+    mrg = table ();
+    members = Array.make 64 0;
+    nmembers = 0;
+    epoch = 0;
     cons = Hashtbl.create 1024;
     alive_inputs = Hashtbl.create 256;
     alive_terms = Hashtbl.create 64;
@@ -94,15 +139,21 @@ let init formula =
     fkeys;
   }
 
-let vinfo st v =
-  match Hashtbl.find_opt st.vars v with
-  | Some i -> i
-  | None -> failf "variable %d not declared" v
+(* The one bounds-checked way into the variable tables: every variable a
+   record names passes here first, so 0, [abs min_int] (which is
+   negative) and anything past the tables fail as that record's error,
+   never as [Invalid_argument].  Tables never shrink and declarations
+   are never withdrawn, so a variable that passed once — every literal
+   of a registered constraint — stays a valid index. *)
+let var st v =
+  if v <= 0 || v >= Array.length st.quant || st.quant.(v) = undeclared then
+    failf "variable %d not declared" v;
+  v
+
+let exist st v = st.quant.(v) = existential
 
 (* z ≺ z' through DFS timestamps, eq. 13 of the paper. *)
-let precedes st v v' =
-  let a = vinfo st v and b = vinfo st v' in
-  a.d < b.d && b.d <= a.f
+let precedes st v v' = st.d.(v) < st.d.(v') && st.d.(v') <= st.f.(v)
 
 let constr st pid =
   match Hashtbl.find_opt st.cons pid with
@@ -114,21 +165,72 @@ let alive_constr st pid =
   if not c.alive then failf "constraint %d has been retracted" pid;
   c
 
-(* Universal reduction of a clause / existential reduction of a term:
-   drop each reducible-kind literal that precedes no kept-kind literal
-   of the set.  One pass suffices: blockers are kept-kind and never
-   removed. *)
-let reduce st ~term lits =
-  let kept_exist = not term in
-  let keep l =
-    (vinfo st (abs l)).exist = kept_exist
-    || List.exists
-         (fun l' ->
-           (vinfo st (abs l')).exist = kept_exist
-           && precedes st (abs l) (abs l'))
-         lits
+(* Index of the first element of the ascending [a] above [x], or
+   [Array.length a]. *)
+let first_above a x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if a.(mid) <= x then go (mid + 1) hi else go lo mid
   in
-  List.filter keep lits
+  go 0 (Array.length a)
+
+(* [x], a declared variable or one of its literals (so [x - 1] cannot
+   wrap), occurs in the ascending [a]. *)
+let mem_sorted x a =
+  let j = first_above a (x - 1) in
+  j < Array.length a && a.(j) = x
+
+let fresh_epoch st =
+  st.epoch <- st.epoch + 1;
+  st.epoch
+
+let enter st e v l =
+  st.mem.(v) <- e;
+  st.mrg.(v) <- 0;
+  st.pol.(v) <- l;
+  if st.nmembers = Array.length st.members then
+    st.members <- Array.append st.members st.members;
+  st.members.(st.nmembers) <- v;
+  st.nmembers <- st.nmembers + 1
+
+(* Universal reduction of a clause / existential reduction of a term,
+   on the working set of epoch [e]: a reducible-kind literal stays
+   exactly when it ≺-precedes a kept-kind member.  By eq. 13, v ≺ v'
+   when d(v) < d(v') <= f(v), so against the ascending d stamps of the
+   kept-kind members it suffices to compare the first stamp above d(v)
+   with f(v).  One pass suffices: blockers are kept-kind and never
+   removed.  Both literals of a merged pair share one variable, so they
+   stay or go together. *)
+let reduce st ~term e =
+  let live v = st.mem.(v) = e and kept v = exist st v <> term in
+  let stamps = ref [] in
+  for i = 0 to st.nmembers - 1 do
+    let v = st.members.(i) in
+    if live v && kept v then stamps := st.d.(v) :: !stamps
+  done;
+  let stamps = Array.of_list !stamps in
+  Array.sort Int.compare stamps;
+  let n = ref 0 in
+  for i = 0 to st.nmembers - 1 do
+    let v = st.members.(i) in
+    if live v then
+      if
+        kept v
+        ||
+        let j = first_above stamps st.d.(v) in
+        j < Array.length stamps && stamps.(j) <= st.f.(v)
+      then begin
+        st.members.(!n) <- v;
+        incr n
+      end
+      else begin
+        st.mem.(v) <- 0;
+        st.mrg.(v) <- 0
+      end
+  done;
+  st.nmembers <- !n
 
 (* Replay a resolution chain and return the sorted resolvent.
 
@@ -147,93 +249,78 @@ let reduce st ~term lits =
    restriction is re-checked; resolving on a merged variable remains
    forbidden. *)
 let resolve_chain st ~term ~first ~chain =
-  let tbl = Hashtbl.create 32 in
-  (* var -> one polarity; merged vars expand to both in [current] *)
-  let merged = Hashtbl.create 4 in
-  let pairs_of lits =
-    let seen = Hashtbl.create 8 and p = Hashtbl.create 2 in
-    List.iter
-      (fun l ->
-        let v = abs l in
-        if Hashtbl.mem seen v then Hashtbl.replace p v ()
-        else Hashtbl.replace seen v ())
-      lits;
-    p
-  in
-  let add ?pivot ~pairs l =
-    let v = abs l in
-    if Hashtbl.mem pairs v then begin
-      if (vinfo st v).exist <> term then
-        failf "tautological resolvent on variable %d" v;
-      if not (Hashtbl.mem tbl v) then Hashtbl.replace tbl v l;
-      Hashtbl.replace merged v ()
+  let e = fresh_epoch st in
+  st.nmembers <- 0;
+  let member v = st.mem.(v) = e and merged v = st.mrg.(v) = e in
+  (* [pivot] is 0 while adding the starting antecedent. *)
+  let add ~pivot a l =
+    let v = var st (abs l) in
+    if mem_sorted v a.pairs then begin
+      if exist st v <> term then failf "tautological resolvent on variable %d" v;
+      if not (member v) then enter st e v l;
+      st.mrg.(v) <- e
     end
-    else
-      match Hashtbl.find_opt tbl v with
-      | Some l' when l' = l -> ()
-      | Some _ -> (
-          if not (Hashtbl.mem merged v) then
-            match pivot with
-            | Some pv when (vinfo st v).exist = term && precedes st pv v ->
-                Hashtbl.replace merged v ()
-            | _ -> failf "tautological resolvent on variable %d" v)
-      | None -> Hashtbl.replace tbl v l
-  in
-  let current () =
-    Hashtbl.fold
-      (fun v l acc ->
-        if Hashtbl.mem merged v then l :: -l :: acc else l :: acc)
-      tbl []
-  in
-  let renorm () =
-    let r = reduce st ~term (current ()) in
-    Hashtbl.reset tbl;
-    List.iter
-      (fun l ->
-        if not (Hashtbl.mem tbl (abs l)) then Hashtbl.replace tbl (abs l) l)
-      r;
-    let dead =
-      Hashtbl.fold
-        (fun v () acc -> if Hashtbl.mem tbl v then acc else v :: acc)
-        merged []
-    in
-    List.iter (Hashtbl.remove merged) dead
+    else if not (member v) then enter st e v l
+    else if st.pol.(v) <> l && not (merged v) then
+      if pivot > 0 && exist st v = term && precedes st pivot v then
+        st.mrg.(v) <- e
+      else failf "tautological resolvent on variable %d" v
   in
   let c0 = alive_constr st first in
   if c0.term <> term then failf "starting antecedent %d has the wrong kind" first;
-  List.iter (add ~pairs:(pairs_of c0.lits)) c0.lits;
-  renorm ();
+  Array.iter (add ~pivot:0 c0) c0.lits;
+  reduce st ~term e;
   List.iter
     (fun (pvar, ant) ->
-      if (vinfo st pvar).exist = term then
+      if exist st (var st pvar) = term then
         failf "pivot %d has the wrong quantifier for %s resolution" pvar
           (if term then "term" else "clause");
       let a = alive_constr st ant in
       if a.term <> term then failf "antecedent %d has the wrong kind" ant;
-      let l =
-        match Hashtbl.find_opt tbl pvar with
-        | Some l -> l
-        | None -> failf "pivot %d is not in the working set" pvar
-      in
-      if Hashtbl.mem merged pvar then
-        failf "pivot %d is a merged literal" pvar;
-      let pairs = pairs_of a.lits in
-      if Hashtbl.mem pairs pvar then
+      if not (member pvar) then failf "pivot %d is not in the working set" pvar;
+      if merged pvar then failf "pivot %d is a merged literal" pvar;
+      if mem_sorted pvar a.pairs then
         failf "antecedent %d carries pivot %d as a merged pair" ant pvar;
-      if not (List.mem (-l) a.lits) then
+      if not (mem_sorted (-st.pol.(pvar)) a.lits) then
         failf "antecedent %d lacks the opposite literal of pivot %d" ant pvar;
-      Hashtbl.remove tbl pvar;
-      List.iter (fun m -> if abs m <> pvar then add ~pivot:pvar ~pairs m) a.lits;
-      renorm ())
+      st.mem.(pvar) <- 0;
+      Array.iter (fun m -> if abs m <> pvar then add ~pivot:pvar a m) a.lits;
+      reduce st ~term e)
     chain;
-  List.sort compare (current ())
+  let out = ref [] in
+  for i = 0 to st.nmembers - 1 do
+    let v = st.members.(i) in
+    let l = st.pol.(v) in
+    out := if merged v then l :: -l :: !out else l :: !out
+  done;
+  let r = Array.of_list !out in
+  Array.sort Int.compare r;
+  r
+
+(* The variables carried with both polarities, found once per
+   constraint: in the ascending [lits], the negative literals read right
+   to left and the positive ones read left to right both ascend by
+   variable, so one merge finds them. *)
+let pairs_of lits =
+  let n = Array.length lits in
+  let rec merge i j acc =
+    if i < 0 || j >= n then Array.of_list (List.rev acc)
+    else
+      let v = -lits.(i) and v' = lits.(j) in
+      if v = v' then merge (i - 1) (j + 1) (v :: acc)
+      else if v < v' then merge (i - 1) j acc
+      else merge i (j + 1) acc
+  in
+  let p = first_above lits 0 in
+  merge (p - 1) p []
 
 let register st pid ~term ~input lits =
   if pid <= 0 then failf "invalid constraint id %d" pid;
   if Hashtbl.mem st.cons pid then failf "duplicate constraint id %d" pid;
-  List.iter (fun l -> ignore (vinfo st (abs l))) lits;
-  let lits = List.sort_uniq compare lits in
-  Hashtbl.replace st.cons pid { term; input; alive = true; lits };
+  List.iter (fun l -> ignore (var st (abs l))) lits;
+  let lits = Array.of_list (List.sort_uniq Int.compare lits) in
+  Hashtbl.replace st.cons pid
+    { term; input; alive = true; lits; pairs = pairs_of lits };
   if input then Hashtbl.replace st.alive_inputs pid lits;
   if term then Hashtbl.replace st.alive_terms pid ();
   lits
@@ -253,21 +340,23 @@ let check_input st pid lits =
   expire_terms st
 
 let check_axiom st pid lits =
-  let chosen = Hashtbl.create 32 in
+  let e = fresh_epoch st in
   List.iter
     (fun l ->
-      ignore (vinfo st (abs l));
-      match Hashtbl.find_opt chosen (abs l) with
-      | Some l' when l' <> l ->
-          failf "axiom term is inconsistent on variable %d" (abs l)
-      | _ -> Hashtbl.replace chosen (abs l) l)
+      let v = var st (abs l) in
+      if st.mem.(v) = e && st.pol.(v) <> l then
+        failf "axiom term is inconsistent on variable %d" v;
+      st.mem.(v) <- e;
+      st.pol.(v) <- l)
     lits;
   Hashtbl.iter
     (fun ipid clits ->
       if
         not
-          (List.exists
-             (fun m -> Hashtbl.find_opt chosen (abs m) = Some m)
+          (Array.exists
+             (fun m ->
+               let v = abs m in
+               st.mem.(v) = e && st.pol.(v) = m)
              clits)
       then failf "axiom term does not cover input clause %d" ipid)
     st.alive_inputs;
@@ -275,10 +364,10 @@ let check_axiom st pid lits =
 
 let check_step st ~term pid ~first ~chain lits =
   let derived = resolve_chain st ~term ~first ~chain in
-  let recorded = List.sort_uniq compare lits in
+  let recorded = Array.of_list (List.sort_uniq Int.compare lits) in
   if derived <> recorded then
     failf "resolvent of constraint %d does not match the derivation" pid;
-  ignore (register st pid ~term ~input:false recorded)
+  ignore (register st pid ~term ~input:false lits)
 
 let check_retract st pid =
   (* Retraction only ever weakens the prover, so retracting an already
@@ -296,7 +385,7 @@ let check_final st ~outcome pid =
       (if outcome then "true" else "false")
       (if outcome then "term" else "clause")
       pid;
-  if c.lits <> [] then failf "conclusion constraint %d is not empty" pid;
+  if c.lits <> [||] then failf "conclusion constraint %d is not empty" pid;
   (match (st.formula, outcome) with
   | Some _, true ->
       (* The axiom terms behind an empty term only covered the clauses
@@ -335,8 +424,14 @@ let check_declare st v quant_char d f =
         failf "variable %d declared with the wrong quantifier" v;
       if Prefix.discovery p (v - 1) <> d || Prefix.finish p (v - 1) <> f then
         failf "variable %d declared with the wrong prefix position" v
-  | None -> ());
-  Hashtbl.replace st.vars v { exist; d; f }
+  | None ->
+      if v > max_trust_var then
+        failf "declared variable %d exceeds the limit of %d" v max_trust_var;
+      let n = Array.length st.quant in
+      if v >= n then resize st (min (max_trust_var + 1) (max (v + 1) (2 * n))));
+  st.quant.(v) <- (if exist then existential else universal);
+  st.d.(v) <- d;
+  st.f.(v) <- f
 
 (* ---------- trace parsing ---------------------------------------------- *)
 

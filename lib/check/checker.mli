@@ -11,7 +11,10 @@
     requires the whole matrix to be registered.  Without it (trust
     mode) declarations and inputs are taken at face value — only for
     white-box tests of incremental sessions, which no single input file
-    describes. *)
+    describes — up to {!Qbf_io.Qdimacs.max_declared_vars} variables.
+
+    Each record costs O(n log n) in its literal count, except an axiom
+    term, which is also checked against every alive input clause. *)
 
 type verdict = {
   conclusions : bool list;

@@ -20,8 +20,9 @@
      losers are cancelled (SIGTERM, then SIGKILL after a grace period),
      per the quantifier-structure observation that no single branching
      order dominates;
-   - results are {e memoized} by canonical formula hash: when a job
-     settles, every unfinished duplicate in the batch takes its answer;
+   - results are {e memoized} by canonical formula hash: a duplicate is
+     not dispatched while its twin runs, and when a job settles, every
+     unfinished duplicate in the batch takes its answer;
    - a worker that cannot be spawned is counted and tried again on a
      later round; while the pool is empty, each job waiting for a
      worker fails that round as a [spawn] failure, so the retry cap
@@ -284,7 +285,9 @@ let forget_worker t w =
 (* Finishing jobs                                                      *)
 
 (* The report is final here: it gets the latest snapshot of every
-   attempt that shipped one. *)
+   attempt that shipped one.  Only malformed input counts as an error;
+   any other [Unknown] (budget give-ups, interrupted batches) counts as
+   unknown. *)
 let finish t j report =
   if j.state <> Done then begin
     let id = j.job.Protocol.id in
@@ -305,9 +308,10 @@ let finish t j report =
     j.queue <- [];
     j.result <- Some report;
     Telemetry.on_job_done t.tel
-      (match report.r_outcome with
-      | ST.True | ST.False -> `Decided
-      | ST.Unknown -> if report.r_error <> None then `Errored else `Unknown)
+      (match (report.r_outcome, j.last_failure) with
+      | (ST.True | ST.False), _ -> `Decided
+      | ST.Unknown, Some (Failure.Input _) -> `Errored
+      | ST.Unknown, _ -> `Unknown)
       ~latency_s:report.r_wall;
     trace t Trace.Serve_result ~dlevel:0 ~plevel:j.attempts ~arg:id;
     t.on_report report
@@ -538,8 +542,20 @@ let dispatch_to t w j label =
       Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w;
       false
 
+(* [j] has a twin (an equal formula hash) that a worker is on and that
+   has not settled: [settle] will answer [j] from it, or, if the twin
+   gives up, [j] becomes dispatchable again. *)
+let twin_running t j =
+  t.policy.cache && j.hash <> None
+  && Array.exists
+       (fun j' ->
+         j' != j && j'.state <> Done && j'.first_dispatch <> None
+         && j'.hash = j.hash)
+       t.jobs
+
 (* Release backoffs that have matured, then pair ready labels with idle
-   workers, jobs in submission order.  An empty pool here means the last
+   workers, jobs in submission order; a job whose twin is running waits
+   for its answer instead.  An empty pool here means the last
    [fill_pool] could not spawn a worker: every job waiting for one fails
    this round as [Spawn], and backoff and the retry cap bound the
    wait. *)
@@ -563,7 +579,7 @@ let schedule t =
           j.queue <- [];
           attempt_failed t j Failure.Spawn
         end
-        else
+        else if idle () <> None && not (twin_running t j) then
           let rec drain () =
             match (j.queue, idle ()) with
             | label :: rest, Some w ->

@@ -74,6 +74,10 @@ expect 2 "qubed batch with input error" "$QUBED" --workers 2 "$tmp/badbatch.json
 printf '{"path":"%s","max_nodes":1}\n' "$HARD" > "$tmp/starved.jsonl"
 expect 3 "qubed starved job stays unknown" \
   "$QUBED" --workers 1 --retries 0 "$tmp/starved.jsonl"
+"$QUBED" --workers 1 --retries 0 --summary "$tmp/starved.jsonl" \
+  > "$tmp/starved.out" 2>/dev/null
+grep -q '"type":"summary".*"unknown":1,"errors":0' "$tmp/starved.out" \
+  || fail "qubed starved job: summary does not read unknown 1, errors 0"
 
 expect 2 "qubed missing batch file" "$QUBED" "$tmp/no-such-batch.jsonl"
 expect 2 "qubed with no workers" "$QUBED" --workers 0 "$tmp/batch.jsonl"

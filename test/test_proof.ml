@@ -1,9 +1,11 @@
 (* Certificates end to end: engine-emitted qproof traces must pass the
    independent checker (DB reduction on and off, incremental push/pop,
-   fuzz seeds concluding through level-0 pivots), and hand-mutated
-   traces — dropped antecedent, wrong pivot, forged empty clause,
-   dangling constraint id, truncated file — must be rejected with a
-   diagnostic. *)
+   fuzz seeds concluding through level-0 pivots); mutated engine traces
+   (dropped antecedent, wrong pivot, forged empty clause, dangling
+   constraint id, truncated file) and a table of hand-written ones (one
+   per rejection rule of resolution, reduction and axiom coverage) must
+   be rejected at the failing line, and variables that fit no table
+   must come back as record errors. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -274,12 +276,22 @@ let write_trace text =
   close_out oc;
   path
 
-let must_reject name text =
+let check_text ?formula text =
   let path = write_trace text in
-  (match Checker.check_file ~formula:base_formula path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail (name ^ ": mutated trace accepted"));
-  Sys.remove path
+  let r = Checker.check_file ?formula path in
+  Sys.remove path;
+  r
+
+(* [text] must be rejected at [line], with the diagnostic [msg] if
+   given. *)
+let must_reject ?(formula = base_formula) ?msg ~line name text =
+  match check_text ~formula text with
+  | Ok _ -> Alcotest.fail (name ^ ": mutated trace accepted")
+  | Error fl ->
+      Alcotest.(check int) (name ^ ": failing line") line fl.Checker.line;
+      Option.iter
+        (fun m -> Alcotest.(check string) (name ^ ": diagnostic") m fl.Checker.msg)
+        msg
 
 (* Split an [r] record into (prefix tokens, chain pairs, recorded lits):
    r (c|t) PID FIRST (PVAR ANT).. 0 LIT.. 0 *)
@@ -300,34 +312,36 @@ let rebuild_r ((kind, pid, first), chain, lits) =
     (("r" :: kind :: pid :: first :: List.concat_map (fun (a, b) -> [ a; b ]) chain)
     @ ("0" :: lits))
 
+(* Rewrite the first [r] record satisfying [p]; returns the lines and
+   the rewritten record's line number. *)
 let map_first_r p f ls =
-  let hit = ref false in
+  let hit = ref 0 in
   let out =
-    List.map
-      (fun l ->
-        if (not !hit) && String.length l > 1 && l.[0] = 'r' && p (split_r l)
+    List.mapi
+      (fun i l ->
+        if !hit = 0 && String.length l > 1 && l.[0] = 'r' && p (split_r l)
         then begin
-          hit := true;
+          hit := i + 1;
           f (split_r l)
         end
         else l)
       ls
   in
-  if not !hit then Alcotest.fail "no matching r record to mutate";
-  out
+  if !hit = 0 then Alcotest.fail "no matching r record to mutate";
+  (String.concat "\n" out, !hit)
 
 let test_reject_dropped_antecedent () =
-  let mutated =
+  let text, line =
     map_first_r
       (fun (_, chain, _) -> List.length chain >= 2)
       (fun (hd, chain, lits) -> rebuild_r (hd, List.tl chain, lits))
       (lines ())
   in
-  must_reject "dropped antecedent" (String.concat "\n" mutated)
+  must_reject "dropped antecedent" ~line text
 
 let test_reject_wrong_pivot () =
   let nv = Formula.nvars base_formula in
-  let mutated =
+  let text, line =
     map_first_r
       (fun (_, chain, _) -> chain <> [])
       (fun (hd, chain, lits) ->
@@ -337,7 +351,7 @@ let test_reject_wrong_pivot () =
         rebuild_r (hd, (pv', ant) :: rest, lits))
       (lines ())
   in
-  must_reject "wrong pivot" (String.concat "\n" mutated)
+  must_reject "wrong pivot" ~line text
 
 let test_reject_forged_empty_clause () =
   let text = Lazy.force base_trace in
@@ -355,10 +369,12 @@ let test_reject_forged_empty_clause () =
   let forged =
     Printf.sprintf "%sr c 99990 %s 0 0\nf 0 99990\n" text first_input
   in
-  must_reject "forged empty clause" forged
+  must_reject "forged empty clause"
+    ~line:(List.length (String.split_on_char '\n' text))
+    ~msg:"resolvent of constraint 99990 does not match the derivation" forged
 
 let test_reject_dangling_id () =
-  let mutated =
+  let text, line =
     map_first_r
       (fun (_, chain, _) -> chain <> [])
       (fun (hd, chain, lits) ->
@@ -366,13 +382,133 @@ let test_reject_dangling_id () =
         rebuild_r (hd, (pv, "99991") :: rest, lits))
       (lines ())
   in
-  must_reject "dangling constraint id" (String.concat "\n" mutated)
+  must_reject "dangling constraint id" ~line ~msg:"unknown constraint id 99991"
+    text
 
 let test_reject_truncated () =
   let text = Lazy.force base_trace in
   (* cut mid-record: drop the trailing newline and a few bytes of the
      final conclusion line *)
-  must_reject "truncated file" (String.sub text 0 (String.length text - 4))
+  let cut = String.sub text 0 (String.length text - 4) in
+  must_reject "truncated file"
+    ~line:(List.length (String.split_on_char '\n' cut))
+    cut
+
+(* --- hand-written traces -------------------------------------------- *)
+
+(* ∃x1 ∀y2 ∃x3, so x1 ≺ y2 ≺ x3: the [v] records carry the prefix's DFS
+   intervals [1,3], [2,3] and [3,3].  The ten lines of [hand_base]
+   declare the variables and register the six clauses as inputs 1-6. *)
+let hand_formula =
+  Qbf_io.Qdimacs.parse_string
+    "p cnf 3 6\ne 1 0\na 2 0\ne 3 0\n\
+     1 2 3 0\n-1 -2 3 0\n-3 0\n-1 -3 0\n2 3 0\n-2 -3 0\n"
+
+let hand_base =
+  [
+    "p qproof 1"; "v 1 e 1 3"; "v 2 a 2 3"; "v 3 e 3 3";
+    "i 1 1 2 3 0"; "i 2 -1 -2 3 0"; "i 3 -3 0"; "i 4 -1 -3 0";
+    "i 5 2 3 0"; "i 6 -2 -3 0";
+  ]
+
+let hand records = String.concat "\n" (hand_base @ records) ^ "\n"
+
+(* Trust mode (no formula): the declarations are the trace's own, so a
+   [v] record may be re-emitted with a new interval, and an input clause
+   may be tautological. *)
+let trust records = String.concat "\n" ("p qproof 1" :: records) ^ "\n"
+
+(* Resolving inputs 1 and 2 on x1 clashes on y2, which x1 ≺-precedes: a
+   long-distance merge, recorded with both polarities. *)
+let merge_step = "r c 7 1 1 2 0 -2 2 3 0"
+
+(* (name, formula or trust mode, trace, failing line, diagnostic) *)
+let hand_rejections =
+  [
+    ( "clash on a kept-kind variable", Some hand_formula,
+      hand [ "r c 7 1 1 4 0 2 0" ], 11, "tautological resolvent on variable 3" );
+    ( "clash the pivot does not precede", Some hand_formula,
+      hand [ "r c 7 5 3 6 0 0" ], 11, "tautological resolvent on variable 2" );
+    (* merged variables are of the reducible kind, so the pivot's
+       quantifier rule rejects them first *)
+    ( "merged literal as pivot", Some hand_formula,
+      hand [ merge_step; "r c 8 7 2 5 0 3 0" ], 12,
+      "pivot 2 has the wrong quantifier for clause resolution" );
+    ( "antecedent carries the pivot as a pair", None,
+      trust [ "v 1 e 1 3"; "v 3 e 3 3"; "i 1 1 3 0"; "i 2 -1 1 3 0";
+              "r c 3 1 1 2 0 3 0" ], 6,
+      "antecedent 2 carries pivot 1 as a merged pair" );
+    (* y2 precedes no existential once x3 is resolved away *)
+    ( "resolvent keeps a reducible literal", Some hand_formula,
+      hand [ "r c 7 1 3 3 0 1 2 0" ], 11,
+      "resolvent of constraint 7 does not match the derivation" );
+    (* y2 ≺ x3 keeps y2 *)
+    ( "resolvent drops a blocked literal", Some hand_formula,
+      hand [ "r c 7 1 0 1 3 0" ], 11,
+      "resolvent of constraint 7 does not match the derivation" );
+    (* the same step is valid until y2's interval moves past x3's *)
+    ( "reduction follows a re-declared interval", None,
+      trust [ "v 1 e 1 3"; "v 2 a 2 3"; "v 3 e 3 3"; "i 1 1 2 3 0";
+              "r c 2 1 0 1 2 3 0"; "v 2 a 4 5"; "r c 3 1 0 1 2 3 0" ], 8,
+      "resolvent of constraint 3 does not match the derivation" );
+    ( "inconsistent axiom term", Some hand_formula,
+      hand [ "a 7 1 -1 3 0" ], 11, "axiom term is inconsistent on variable 1" );
+    ( "axiom term misses an input", Some hand_formula,
+      hand [ "a 7 1 -2 -3 0" ], 11, "axiom term does not cover input clause 5" );
+  ]
+
+let test_reject_hand_written () =
+  List.iter
+    (fun (name, formula, text, line, msg) ->
+      match check_text ?formula text with
+      | Ok _ -> Alcotest.fail (name ^ ": accepted")
+      | Error fl ->
+          Alcotest.(check int) (name ^ ": failing line") line fl.Checker.line;
+          Alcotest.(check string) (name ^ ": diagnostic") msg fl.Checker.msg)
+    hand_rejections
+
+(* The merged pair of step 7 is inherited whole by step 8 and reduces
+   away there, leaving the empty clause. *)
+let test_accept_inherited_merge () =
+  match check_text ~formula:hand_formula
+          (hand [ merge_step; "r c 8 3 3 7 0 0"; "f 0 8" ]) with
+  | Ok v ->
+      Alcotest.(check (list bool)) "conclusions" [ false ] v.Checker.conclusions
+  | Error fl ->
+      Alcotest.failf "rejected line %d: %s" fl.Checker.line fl.Checker.msg
+
+(* Variables that fit no table: each is an [Error] at its own line. *)
+let test_hostile_variables () =
+  let big = "4611686018427387903" and small = "-4611686018427387904" in
+  List.iter
+    (fun (name, formula, text, line, msg) ->
+      match check_text ?formula text with
+      | Ok _ -> Alcotest.fail (name ^ ": accepted")
+      | Error fl ->
+          Alcotest.(check int) (name ^ ": failing line") line fl.Checker.line;
+          Alcotest.(check string) (name ^ ": diagnostic") msg fl.Checker.msg
+      | exception e ->
+          Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [
+      ( "max_int literal", Some hand_formula, hand [ "i 7 " ^ big ^ " 0" ], 11,
+        "variable " ^ big ^ " not declared" );
+      ( "min_int literal", Some hand_formula, hand [ "i 7 " ^ small ^ " 0" ], 11,
+        "variable " ^ small ^ " not declared" );
+      ( "min_int axiom literal", Some hand_formula,
+        hand [ "a 7 3 " ^ small ^ " 0" ], 11,
+        "variable " ^ small ^ " not declared" );
+      ( "pivot past the table", Some hand_formula,
+        hand [ "r c 7 1 4 3 0 0" ], 11, "variable 4 not declared" );
+      ( "max_int pivot", Some hand_formula,
+        hand [ "r c 7 1 " ^ big ^ " 3 0 0" ], 11,
+        "variable " ^ big ^ " not declared" );
+      ( "declaration past nvars", Some hand_formula, hand [ "v 4 e 4 4" ], 11,
+        "declared variable 4 exceeds the formula's 3" );
+      ( "max_int declaration, trust mode", None,
+        trust [ "v 1 e 1 1"; "v " ^ big ^ " e 1 1" ], 3,
+        Printf.sprintf "declared variable %s exceeds the limit of %d" big
+          Qbf_io.Qdimacs.max_declared_vars );
+    ]
 
 let suite =
   [
@@ -391,4 +527,10 @@ let suite =
     Alcotest.test_case "reject dangling constraint id" `Quick
       test_reject_dangling_id;
     Alcotest.test_case "reject truncated trace" `Quick test_reject_truncated;
+    Alcotest.test_case "reject hand-written traces" `Quick
+      test_reject_hand_written;
+    Alcotest.test_case "accept an inherited merge" `Quick
+      test_accept_inherited_merge;
+    Alcotest.test_case "hostile variables are record errors" `Quick
+      test_hostile_variables;
   ]

@@ -297,6 +297,45 @@ let test_inline_unknown_not_shared () =
   Alcotest.(check int) "no cache hits" 0 (counter summary "cache_hits");
   Alcotest.(check int) "both solved" 2 (counter summary "dispatches")
 
+(* A budget give-up is an unknown answer, not an error: only malformed
+   input counts in [jobs_errored]. *)
+let test_budget_give_up_unknown () =
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 1;
+      retries = 0;
+    }
+  in
+  let job =
+    Protocol.job ~id:0 ~max_nodes:1
+      (Qbf_run.Run.Path "../examples/instances/ncf_hard.qdimacs")
+  in
+  let reports, summary = Supervisor.run ~policy [ job ] in
+  Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
+    (List.hd reports).Supervisor.r_outcome;
+  Alcotest.(check int) "summary unknown" 1 summary.Supervisor.s_unknown;
+  Alcotest.(check int) "summary errors" 0 summary.Supervisor.s_errors
+
+(* A duplicate waits while its twin runs, and takes the twin's answer:
+   one dispatch, one miss, one hit. *)
+let test_duplicate_waits_for_twin () =
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 2;
+      race = [ "po-watched" ];
+    }
+  in
+  let reports, summary =
+    Supervisor.run ~policy (inline_jobs [ true_qbf; true_qbf ])
+  in
+  Alcotest.(check bool) "answers" true
+    (outcomes reports = [ (0, ST.True); (1, ST.True) ]);
+  Alcotest.(check int) "dispatches" 1 (counter summary "dispatches");
+  Alcotest.(check int) "cache hits" 1 (counter summary "cache_hits");
+  Alcotest.(check int) "cache misses" 1 (counter summary "cache_misses")
+
 (* A fresh empty directory for certificates. *)
 let temp_dir prefix =
   let d = Filename.temp_file prefix "" in
@@ -404,6 +443,10 @@ let suite =
       test_inline_certificates_checked;
     Alcotest.test_case "input error accounting" `Quick
       test_supervisor_input_error;
+    Alcotest.test_case "budget give-up counts as unknown" `Quick
+      test_budget_give_up_unknown;
+    Alcotest.test_case "duplicate waits for its twin" `Quick
+      test_duplicate_waits_for_twin;
     Alcotest.test_case "fault injection keeps answers" `Quick
       test_supervisor_faults_same_answers;
   ]
