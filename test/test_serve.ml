@@ -307,10 +307,14 @@ let test_budget_give_up_unknown () =
       retries = 0;
     }
   in
-  let job =
-    Protocol.job ~id:0 ~max_nodes:1
-      (Qbf_run.Run.Path "../examples/instances/ncf_hard.qdimacs")
+  (* dune copies the instance beside the test binary's directory, so
+     the path holds whatever the working directory *)
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../examples/instances/ncf_hard.qdimacs"
   in
+  let job = Protocol.job ~id:0 ~max_nodes:1 (Qbf_run.Run.Path path) in
   let reports, summary = Supervisor.run ~policy [ job ] in
   Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
     (List.hd reports).Supervisor.r_outcome;
