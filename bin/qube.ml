@@ -5,13 +5,13 @@
    total-order (QuBE(TO)-style) or partial-order (QuBE(PO)-style) mode,
    through the resilient run harness (Qbf_run): structured input
    errors, amortized wall-clock deadlines, SIGINT/SIGTERM-safe
-   interruption, an optional memory cap, and a budget-escalation
-   portfolio mode.
+   interruption and an optional memory cap.  One invocation is one
+   solve; escalating budgets and racing configurations are qubed's job.
 
      qube FILE [--heuristic po|to] [--no-learning] [--no-pure]
           [--prenex STRATEGY] [--miniscope] [--preprocess] [--max-nodes N]
-          [--timeout S] [--mem-limit MB] [--portfolio] [--json-status]
-          [--stats] [--trace FILE] [--trace-every N] [--profile]
+          [--timeout S] [--mem-limit MB] [--json-status] [--stats]
+          [--trace FILE] [--trace-every N] [--profile] [--proof FILE]
 
    Observability (Qbf_obs): --trace streams the engine's typed event
    stream (decisions, propagations, conflicts, solutions, learning,
@@ -20,8 +20,8 @@
    parse/prenex/build/propagate/analyze/heuristic phases and prints a
    profile table.  --json-status always carries the complete stats
    record (same key set on every exit path, including interrupt and
-   memory-cap "s cnf ?" exits) plus metrics/profile snapshots when
-   enabled.
+   memory-cap "s cnf ?" exits) plus the metrics snapshot and, with
+   --profile, the profile snapshot.
 
    Exit code: 10 if true, 20 if false, 30 if unknown (budget, signal, or
    memory cap), 2 on unreadable/malformed input, following SAT-solver
@@ -76,7 +76,7 @@ let json_of_witness = function
 let json_of_report (r : Run.report) =
   Json.Obj
     [
-      ("outcome", Json.String (Outcome.to_json_string r.Run.outcome));
+      ("outcome", Json.String (Outcome.to_string r.Run.outcome));
       ("time", Json.Float r.Run.time);
       ( "stopped",
         match r.Run.stopped with
@@ -104,17 +104,11 @@ let print_report_comments (r : Run.report) =
 
 let run file heuristic no_learning no_pure restarts
     db_reduce_interval db_keep no_phase_saving prenex_to
-    miniscope preprocess max_nodes timeout mem_limit use_portfolio json_status
-    stats trace_file trace_every profile_on telemetry_file proof_file =
-  if proof_file <> None && use_portfolio then begin
-    Printf.eprintf
-      "qube: --proof records a single run's derivation and cannot span \
-       portfolio attempts; drop one of the two flags\n";
-    exit 2
-  end;
-  (* Observability wiring: the trace (if any) is one JSONL stream shared
-     across the whole invocation, while metrics and profile are fresh
-     per attempt in portfolio mode so each rung reports its own. *)
+    miniscope preprocess max_nodes timeout mem_limit json_status
+    stats trace_file trace_every profile_on proof_file =
+  (* Observability wiring: one collector times parse/prenex and then
+     rides in the config through the search, so its profile holds every
+     phase of the invocation. *)
   let trace_oc = Option.map open_out trace_file in
   let trace =
     Option.map
@@ -141,20 +135,14 @@ let run file heuristic no_learning no_pure restarts
           with Sys_error _ -> ())
         trace_oc;
       try flush stdout with Sys_error _ -> ());
-  let observing =
-    trace <> None || profile_on || json_status || telemetry_file <> None
+  let obs =
+    if trace <> None || profile_on || json_status then
+      Some
+        (Obs.make ~metrics:(Metrics.create ()) ?trace
+           ?profile:(if profile_on then Some (Profile.create ()) else None)
+           ())
+    else None
   in
-  (* --telemetry implies the phase profiler: the dump should carry both
-     the metrics registry and the phase spans without needing --profile *)
-  let collect_profile = profile_on || telemetry_file <> None in
-  let fresh_obs () =
-    Obs.make ~metrics:(Metrics.create ()) ?trace
-      ?profile:(if collect_profile then Some (Profile.create ()) else None)
-      ()
-  in
-  (* The top-level collector times parse/prenex and, in single-solve
-     mode, the search itself. *)
-  let obs = if observing then Some (fresh_obs ()) else None in
   let prof_enter ph =
     match obs with
     | Some o when o.Obs.profile_on -> Profile.enter o.Obs.profile ph
@@ -196,12 +184,9 @@ let run file heuristic no_learning no_pure restarts
       |> with_db_reduce_interval db_reduce_interval
       |> with_db_keep_fraction db_keep
       |> with_phase_saving (not no_phase_saving)
-      |> with_max_nodes max_nodes)
+      |> with_max_nodes max_nodes
+      |> with_obs obs)
   in
-  (* In single-solve mode the top-level collector rides in the config;
-     in portfolio mode it only times parse/prenex and each attempt gets
-     a fresh collector through the [observe] factory instead. *)
-  let config = if use_portfolio then config else ST.with_obs obs config in
   let limits =
     Limits.make ?timeout_s:timeout ?mem_mb:mem_limit ~poll_interval:64 ()
   in
@@ -210,38 +195,11 @@ let run file heuristic no_learning no_pure restarts
      of dying silently mid-solve. *)
   let interrupt = Limits.Interrupt.create () in
   let restore = Limits.Interrupt.install interrupt in
-  let report, attempts =
-    if use_portfolio then begin
-      let base =
-        match timeout with Some t -> Float.max (t /. 7.) 0.01 | None -> 0.5
-      in
-      let observe = if observing then Some (fun _label -> fresh_obs ()) else None in
-      let p =
-        Run.portfolio ~limits ~interrupt ?observe
-          (Run.escalating ~base ~config ())
-          f
-      in
-      match List.rev p.Run.attempts with
-      | [] ->
-          (* no attempt ran (interrupted before the first one) *)
-          ( {
-              Run.outcome = ST.Unknown;
-              time = p.Run.total_time;
-              stats = ST.empty_stats ();
-              witness = ST.No_witness;
-              stopped = Some (Run.Interrupted Limits.Interrupt.Manual);
-              metrics = None;
-              profile = None;
-            },
-            [] )
-      | (_, last) :: _ -> (last, p.Run.attempts)
-    end
-    else
-      ( (try Run.solve ~limits ~interrupt ~config ?proof_file f
-         with Sys_error msg ->
-           Printf.eprintf "qube: cannot write proof: %s\n" msg;
-           exit 2),
-        [] )
+  let report =
+    try Run.solve ~limits ~interrupt ~config ?proof_file f
+    with Sys_error msg ->
+      Printf.eprintf "qube: cannot write proof: %s\n" msg;
+      exit 2
   in
   restore ();
   (* drain any buffered trace events and close the stream *)
@@ -256,15 +214,6 @@ let run file heuristic no_learning no_pure restarts
         (* conclusive-but-uncertified (chronological conclusion) or
            inconclusive: tell the caller not to expect a checkable file *)
         Printf.printf "c proof incomplete\n");
-  List.iteri
-    (fun i (label, (r : Run.report)) ->
-      Printf.printf "c attempt %d %s outcome=%s time=%.3fs nodes=%d%s\n"
-        (i + 1) label (Outcome.to_string r.Run.outcome) r.Run.time
-        (ST.nodes r.Run.stats)
-        (match r.Run.stopped with
-        | Some s -> " stopped-by=" ^ Run.string_of_stop_reason s
-        | None -> ""))
-    attempts;
   (* Partial statistics are the whole point of a graceful stop: always
      print them when the run was cut short, even without --stats. *)
   if stats || report.Run.outcome = ST.Unknown then begin
@@ -276,87 +225,27 @@ let run file heuristic no_learning no_pure restarts
         (Qbf_core.Prefix.prefix_level (Qbf_core.Formula.prefix f))
         (Qbf_core.Prefix.is_prenex (Qbf_core.Formula.prefix f))
   end;
-  (if profile_on then
-     let print_table tag snap =
-       Printf.printf "c profile%s\n" tag;
-       String.split_on_char '\n' (Profile.render_table snap)
-       |> List.iter (fun l -> if l <> "" then Printf.printf "c   %s\n" l)
-     in
-     if use_portfolio then begin
-       (* parse/prenex spans live on the top-level collector; each
-          attempt carries its own engine profile *)
-       (match obs with
-       | Some o when o.Obs.profile_on ->
-           let snap = Profile.snapshot o.Obs.profile in
-           if snap <> [] then print_table "" snap
-       | _ -> ());
-       List.iter
-         (fun (label, (r : Run.report)) ->
-           match r.Run.profile with
-           | Some snap -> print_table (" attempt " ^ label) snap
-           | None -> ())
-         attempts
-     end
-     else
-       match report.Run.profile with
-       | Some snap -> print_table "" snap
-       | None -> ());
+  Option.iter
+    (fun snap ->
+      Printf.printf "c profile\n";
+      String.split_on_char '\n' (Profile.render_table snap)
+      |> List.iter (fun l -> if l <> "" then Printf.printf "c   %s\n" l))
+    report.Run.profile;
   (match trace with
   | Some t ->
       Printf.printf "c trace events offered=%d recorded=%d every=%d\n"
         (Trace.offered t) (Trace.recorded t) (Trace.every t)
   | None -> ());
-  (* Dual-format telemetry dump of this run: the same shape a qubed
-     telemetry consumer expects for a single-process solve — JSON at
-     FILE, Prometheus text at FILE.prom. *)
-  (match telemetry_file with
-  | None -> ()
-  | Some path ->
-      let write p text =
-        let oc = open_out p in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc text)
-      in
-      write path
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String "qube-telemetry");
-                ("v", Json.Int 1);
-                ("file", Json.String file);
-                ("outcome", Json.String (Outcome.to_json_string report.Run.outcome));
-                ("report", json_of_report report);
-              ])
-        ^ "\n");
-      let prom encode = Option.fold ~none:"" ~some:encode in
-      write (path ^ ".prom")
-        (prom (Metrics.snapshot_to_prometheus ~prefix:"qube_engine_")
-           report.Run.metrics
-        ^ prom (Profile.snapshot_to_prometheus ~prefix:"qube_profile_")
-            report.Run.profile));
-  if json_status then begin
-    let status =
-      Json.Obj
-        [
-          ("file", Json.String file);
-          ("outcome", Json.String (Outcome.to_json_string report.Run.outcome));
-          ("time", Json.Float report.Run.time);
-          ("report", json_of_report report);
-          ( "attempts",
-            Json.List
-              (List.map
-                 (fun (label, r) ->
-                   Json.Obj
-                     [
-                       ("label", Json.String label);
-                       ("report", json_of_report r);
-                     ])
-                 attempts) );
-        ]
-    in
-    print_endline (Json.to_string status)
-  end;
+  if json_status then
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("file", Json.String file);
+              ("outcome", Json.String (Outcome.to_string report.Run.outcome));
+              ("time", Json.Float report.Run.time);
+              ("report", json_of_report report);
+            ]));
   exit
     (match report.Run.outcome with ST.True -> 10 | ST.False -> 20 | _ -> 30)
 
@@ -432,19 +321,13 @@ let mem_limit_arg =
               mebibytes; checked from a GC alarm, so it costs nothing \
               on the search path.")
 
-let portfolio_arg =
-  Arg.(value & flag
-    & info [ "portfolio" ]
-        ~doc:"Budget-escalation portfolio: PO with learning on a short \
-              budget, then TO with restarts at twice the budget, then \
-              PO with restarts for the remaining time.  Prints one \
-              $(b,c attempt) line per attempt.")
-
 let json_status_arg =
   Arg.(value & flag
     & info [ "json-status" ]
-        ~doc:"Print a one-line JSON status record (outcome, time, \
-              statistics, per-attempt reports) after the result line.")
+        ~doc:"Print a one-line JSON status record (outcome, time, and \
+              the run's report: stop reason, witness, statistics, \
+              metrics and, with $(b,--profile), the phase profile) after \
+              the result line.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print search statistics.")
@@ -472,20 +355,12 @@ let profile_arg =
               heuristic phases (wall and CPU) and print a profile \
               table.")
 
-let telemetry_arg =
-  Arg.(value & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:"Write this run's metrics and phase profile to FILE as \
-              JSON and to FILE.prom as Prometheus text (implies metric \
-              and profile collection).")
-
 let proof_arg =
   Arg.(value & opt (some string) None
     & info [ "proof" ] ~docv:"FILE"
         ~doc:"Record a Q-resolution trace of the run to FILE, checkable \
               independently with $(b,qcheck_proof).  Forces pure-literal \
-              fixing off for the run; incompatible with \
-              $(b,--portfolio).")
+              fixing off for the run.")
 
 let cmd =
   let doc = "search-based QBF solver with non-prenex (quantifier tree) support" in
@@ -501,8 +376,8 @@ let cmd =
       $ no_learning_arg $ no_pure_arg
       $ restarts_arg $ db_reduce_interval_arg $ db_keep_arg
       $ no_phase_saving_arg $ prenex_arg $ miniscope_arg $ preprocess_arg
-      $ max_nodes_arg $ timeout_arg $ mem_limit_arg $ portfolio_arg
+      $ max_nodes_arg $ timeout_arg $ mem_limit_arg
       $ json_status_arg $ stats_arg $ trace_arg $ trace_every_arg
-      $ profile_arg $ telemetry_arg $ proof_arg)
+      $ profile_arg $ proof_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -28,7 +28,7 @@ let () =
       Format.printf "  phi_%-2d (%3d vars, %3d clauses): %a@." n
         (Qbf_core.Formula.nvars f)
         (Qbf_core.Formula.num_clauses f)
-        ST.pp_outcome r.ST.outcome;
+        Qbf_solver.Outcome.pp r.ST.outcome;
       if r.ST.outcome = ST.True then go (n + 1)
     end
   in

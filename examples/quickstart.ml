@@ -42,8 +42,8 @@ let () =
 
   (* Solve with the partial-order engine (QuBE(PO) of the paper). *)
   let po = Qbf_solver.Engine.solve formula in
-  Format.printf "QuBE(PO) says: %a  [%a]@." ST.pp_outcome po.ST.outcome
-    ST.pp_stats po.ST.stats;
+  Format.printf "QuBE(PO) says: %a  [%a]@." Qbf_solver.Outcome.pp
+    po.ST.outcome ST.pp_stats po.ST.stats;
 
   (* Convert to prenex form with the ∃↑∀↑ strategy and solve in
      total-order mode (QuBE(TO)). *)
@@ -53,8 +53,8 @@ let () =
   Format.printf "∃↑∀↑ prenex prefix: %a@." Prefix.pp (Formula.prefix prenexed);
   let config = ST.(default_config |> with_heuristic Total_order) in
   let to_ = Qbf_solver.Engine.solve ~config prenexed in
-  Format.printf "QuBE(TO) says: %a  [%a]@." ST.pp_outcome to_.ST.outcome
-    ST.pp_stats to_.ST.stats;
+  Format.printf "QuBE(TO) says: %a  [%a]@." Qbf_solver.Outcome.pp
+    to_.ST.outcome ST.pp_stats to_.ST.stats;
 
   (* The naive expansion oracle agrees. *)
   Format.printf "oracle says: %b@." (Eval.eval formula)

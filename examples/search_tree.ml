@@ -73,4 +73,4 @@ let () =
       last := d)
     (Trace.to_list trace);
   Format.printf "@.result: %a — the paper's Figure 2 concludes FALSE too@."
-    ST.pp_outcome r.ST.outcome
+    Qbf_solver.Outcome.pp r.ST.outcome

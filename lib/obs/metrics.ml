@@ -385,7 +385,7 @@ let prom_family buf ~name ~typ samples =
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
   List.iter (fun (labels, v) -> prom_sample buf ~name ~labels v) samples
 
-let prom_hist buf ~name ?(labels = []) (h : hist_snapshot) =
+let prom_hist buf ~name (h : hist_snapshot) =
   Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
   let cum = ref 0 in
   List.iter
@@ -393,31 +393,28 @@ let prom_hist buf ~name ?(labels = []) (h : hist_snapshot) =
       cum := !cum + n;
       let le = if lo = 0 then 0 else (2 * lo) - 1 in
       prom_sample buf ~name:(name ^ "_bucket")
-        ~labels:(labels @ [ ("le", string_of_int le) ])
+        ~labels:[ ("le", string_of_int le) ]
         (float_of_int !cum))
     h.buckets;
-  prom_sample buf ~name:(name ^ "_bucket")
-    ~labels:(labels @ [ ("le", "+Inf") ])
+  prom_sample buf ~name:(name ^ "_bucket") ~labels:[ ("le", "+Inf") ]
     (float_of_int h.count);
-  prom_sample buf ~name:(name ^ "_sum") ~labels (float_of_int h.sum);
-  prom_sample buf ~name:(name ^ "_count") ~labels (float_of_int h.count)
+  prom_sample buf ~name:(name ^ "_sum") (float_of_int h.sum);
+  prom_sample buf ~name:(name ^ "_count") (float_of_int h.count)
 
 (* Render an engine-metrics snapshot as Prometheus text.  Counter names
    get the conventional _total suffix; per-level decision counts become
    one labelled family. *)
-let snapshot_to_prometheus ?(prefix = "qube_engine_") ?(labels = []) s =
+let snapshot_to_prometheus ~prefix s =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (k, v) ->
       prom_family buf ~name:(prefix ^ k ^ "_total") ~typ:"counter"
-        [ (labels, float_of_int v) ])
+        [ ([], float_of_int v) ])
     s.counters;
   List.iter
-    (fun (k, v) -> prom_family buf ~name:(prefix ^ k) ~typ:"gauge" [ (labels, v) ])
+    (fun (k, v) -> prom_family buf ~name:(prefix ^ k) ~typ:"gauge" [ ([], v) ])
     s.gauges;
-  List.iter
-    (fun (k, h) -> prom_hist buf ~name:(prefix ^ k) ~labels h)
-    s.histograms;
+  List.iter (fun (k, h) -> prom_hist buf ~name:(prefix ^ k) h) s.histograms;
   (match s.per_level_decisions with
   | [] -> ()
   | levels ->
@@ -425,7 +422,7 @@ let snapshot_to_prometheus ?(prefix = "qube_engine_") ?(labels = []) s =
         ~name:(prefix ^ "decisions_by_prefix_level_total")
         ~typ:"counter"
         (List.mapi
-           (fun i n -> (labels @ [ ("plevel", string_of_int i) ], float_of_int n))
+           (fun i n -> ([ ("plevel", string_of_int i) ], float_of_int n))
            levels));
   Buffer.contents buf
 

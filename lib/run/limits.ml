@@ -18,9 +18,6 @@ module Deadline = struct
     { clock; until = clock () +. seconds }
 
   let expired t = t.until < infinity && t.clock () > t.until
-
-  let remaining t =
-    if t.until = infinity then infinity else t.until -. t.clock ()
 end
 
 module Interrupt = struct

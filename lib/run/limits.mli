@@ -19,8 +19,6 @@ module Deadline : sig
   val never : t
   val after : ?clock:clock -> float -> t
   val expired : t -> bool
-  val remaining : t -> float
-  (** [infinity] for {!never}. *)
 end
 
 (** A cooperative interrupt: a flag flipped asynchronously (signal

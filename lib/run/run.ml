@@ -1,11 +1,10 @@
-(* The resilient solving harness: structured loading, budgeted and
-   interruptible solves, and a budget-escalation portfolio.
+(* The resilient solving harness: structured loading and budgeted,
+   interruptible solves.
 
    A "run" never throws on bad input or exhausted budgets: loading
-   returns [(formula, Run_error.t) result], solving returns a [report]
-   whose [stopped] field says which limit (if any) ended the search, and
-   the portfolio returns the first conclusive attempt plus a per-attempt
-   trail.  Partial statistics are always preserved. *)
+   returns [(formula, Run_error.t) result], and solving returns a
+   [report] whose [stopped] field says which limit (if any) ended the
+   search.  Partial statistics are always preserved. *)
 
 module ST = Qbf_solver.Solver_types
 
@@ -232,109 +231,3 @@ let source_label = function Path p -> p | Inline _ -> "<inline>"
 let load_source = function
   | Path p -> load p
   | Inline text -> load_string ~file:"<inline>" text
-
-(* ------------------------------------------------------------------ *)
-(* Budget-escalation portfolio                                         *)
-
-type attempt = {
-  label : string;
-  budget_s : float option; (* per-attempt wall budget; None = only the
-                              overall limit applies *)
-  config : ST.config;
-}
-
-(* The default escalation ladder: the paper's PO solver with learning on
-   a short leash, then the TO solver with restarts and database
-   reduction at [factor] times the budget, then PO with restarts,
-   unbounded (the overall limit, if any, still applies).  Each rung
-   restarts from scratch — conflicts that wedge one heuristic rarely
-   wedge the other. *)
-let escalating ?(base = 0.5) ?(factor = 2.) ?(config = ST.default_config) ()
-    =
-  [
-    {
-      label = "po-learn";
-      budget_s = Some base;
-      config =
-        ST.(
-          config
-          |> with_heuristic Partial_order
-          |> with_learning true);
-    };
-    {
-      label = "to-restarts";
-      budget_s = Some (base *. factor);
-      config =
-        ST.(
-          config
-          |> with_heuristic Total_order
-          |> with_learning true
-          |> with_restarts true
-          |> with_db_reduction true);
-    };
-    {
-      label = "po-restarts";
-      budget_s = None;
-      config =
-        ST.(
-          config
-          |> with_heuristic Partial_order
-          |> with_learning true
-          |> with_restarts true
-          |> with_db_reduction true);
-    };
-  ]
-
-type portfolio_report = {
-  outcome : ST.outcome; (* of the last attempt run *)
-  attempts : (string * report) list; (* in execution order *)
-  total_time : float;
-}
-
-(* [observe] gives each attempt its own fresh collector (keyed by the
-   attempt label), so every rung of the ladder reports its own metrics
-   snapshot and phase profile: escalation decisions become explainable
-   ("the PO rung spent 80% of its budget in analysis and learned
-   nothing") instead of opaque wall-clock budgets.  An [obs] already
-   present in an attempt's config wins over the factory. *)
-let portfolio ?(limits = Limits.default) ?interrupt ?observe attempts formula =
-  let interrupt =
-    match interrupt with Some i -> i | None -> Limits.Interrupt.create ()
-  in
-  let config_of (a : attempt) =
-    match (a.config.ST.observe.ST.obs, observe) with
-    | Some _, _ | None, None -> a.config
-    | None, Some factory -> ST.with_obs (Some (factory a.label)) a.config
-  in
-  let overall =
-    match limits.Limits.timeout_s with
-    | None -> Limits.Deadline.never
-    | Some s -> Limits.Deadline.after ~clock:limits.Limits.clock s
-  in
-  let t0 = limits.Limits.clock () in
-  let rec go acc = function
-    | [] -> (ST.Unknown, List.rev acc)
-    | a :: rest ->
-        if Limits.Interrupt.triggered interrupt then (ST.Unknown, List.rev acc)
-        else if Limits.Deadline.remaining overall <= 0. then
-          (ST.Unknown, List.rev acc)
-        else
-          let budget =
-            let left = Limits.Deadline.remaining overall in
-            match a.budget_s with
-            | Some b when left < infinity -> Some (Float.min b left)
-            | Some b -> Some b
-            | None when left < infinity -> Some left
-            | None -> None
-          in
-          let attempt_limits = { limits with Limits.timeout_s = budget } in
-          let r =
-            solve ~limits:attempt_limits ~interrupt ~config:(config_of a)
-              formula
-          in
-          let acc = (a.label, r) :: acc in
-          if r.outcome <> ST.Unknown then (r.outcome, List.rev acc)
-          else go acc rest
-  in
-  let outcome, attempts = go [] attempts in
-  { outcome; attempts; total_time = limits.Limits.clock () -. t0 }

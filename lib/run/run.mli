@@ -3,8 +3,8 @@
     A "run" never throws on bad input or an exhausted budget: loading
     returns [(formula, Run_error.t) result]; solving returns a {!report}
     whose [stopped] field says which limit (if any) ended the search,
-    with full partial statistics; {!portfolio} escalates through a
-    ladder of attempts and reports each one. *)
+    with full partial statistics.  Escalating budgets and racing
+    configurations are the serving layer's job ([qubed]). *)
 
 module ST = Qbf_solver.Solver_types
 
@@ -87,37 +87,3 @@ val load_source : source -> (Qbf_core.Formula.t, Run_error.t) result
 (** {!load} a [Path] (format sniffed), or {!load_string} an [Inline]
     text labelled ["<inline>"] in diagnostics: the one loader of the
     serving layer's worker and supervisor. *)
-
-type attempt = {
-  label : string;
-  budget_s : float option;
-      (** per-attempt wall budget; [None] = only the overall limit *)
-  config : ST.config;
-}
-
-val escalating :
-  ?base:float -> ?factor:float -> ?config:ST.config -> unit -> attempt list
-(** The default escalation ladder: PO with learning at [base] seconds,
-    TO with restarts at [base *. factor], then PO with restarts,
-    unbounded.  [config] seeds every rung (e.g. an [aux_hint]). *)
-
-type portfolio_report = {
-  outcome : ST.outcome;  (** of the last attempt run *)
-  attempts : (string * report) list;  (** in execution order *)
-  total_time : float;
-}
-
-val portfolio :
-  ?limits:Limits.t ->
-  ?interrupt:Limits.Interrupt.t ->
-  ?observe:(string -> Qbf_obs.Obs.t) ->
-  attempt list ->
-  Qbf_core.Formula.t ->
-  portfolio_report
-(** Run [attempts] in order, returning on the first conclusive outcome.
-    Per-attempt budgets are clipped to the remaining overall
-    [limits.timeout_s]; an interrupt or an expired overall deadline
-    stops the ladder between attempts.  [observe label] supplies each
-    attempt with a fresh observability collector, so every per-attempt
-    {!report} carries its own metrics snapshot and phase profile; an
-    [obs] already present in an attempt's config takes precedence. *)

@@ -194,7 +194,7 @@ let json_of_answer a =
       ("type", Json.String "result");
       ("id", Json.Int a.a_id);
       ("attempt", Json.Int a.a_attempt);
-      ("outcome", Json.String (Qbf_solver.Outcome.to_json_string a.a_outcome));
+      ("outcome", Json.String (Qbf_solver.Outcome.to_string a.a_outcome));
       ("time", Json.Float a.a_time);
       ("stopped", opt_string a.a_stopped);
       ("decisions", Json.Int a.a_decisions);

@@ -143,7 +143,7 @@ let json_of_report r =
     [
       ("id", Json.Int r.r_id);
       ("instance", Json.String r.r_label);
-      ("outcome", Json.String (Qbf_solver.Outcome.to_json_string r.r_outcome));
+      ("outcome", Json.String (Qbf_solver.Outcome.to_string r.r_outcome));
       ("time", Json.Float r.r_time);
       ("wall", Json.Float r.r_wall);
       ("config", Json.String r.r_config);

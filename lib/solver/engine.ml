@@ -16,11 +16,14 @@ let leaves s = s.S.stats.conflicts + s.S.stats.solutions
    [stop_flag] is a plain memory load (set asynchronously by signal
    handlers or Gc alarms) and is read on every check, while
    [should_stop] — typically a [Unix.gettimeofday] deadline — is polled
-   only every [stop_interval] checks behind a tick counter. *)
-let budget_exhausted s =
+   only every [stop_interval] checks behind a tick counter.  [max_nodes]
+   bounds the leaves of one call: [leaves0] is the count it began at. *)
+let budget_exhausted s ~leaves0 =
   let b = s.S.config.budgets in
   (match b.stop_flag with Some r -> !r | None -> false)
-  || (match b.max_nodes with Some m -> leaves s >= m | None -> false)
+  || (match b.max_nodes with
+     | Some m -> leaves s - leaves0 >= m
+     | None -> false)
   || (match b.should_stop with
      | None -> false
      | Some f ->
@@ -119,6 +122,7 @@ let reduce_db s =
 
 let solve_state s =
   let o = s.S.obs in
+  let leaves0 = leaves s in
   let restart_idx = ref 1 in
   let leaves_at_restart = ref 0 in
   let maybe_restart () =
@@ -189,7 +193,7 @@ let solve_state s =
               failwith ("debug_checks: missed " ^ what ^ " at fixpoint")
           | None -> ()
         end;
-        if budget_exhausted s then Unknown
+        if budget_exhausted s ~leaves0 then Unknown
         else if decided () then loop ()
         else begin
           (* Every variable assigned but neither a solution nor a conflict
@@ -234,7 +238,7 @@ let solve_state s =
   and continue_with = function
     | Analyze.Concluded o -> o
     | Analyze.Continue ->
-        if budget_exhausted s then Unknown
+        if budget_exhausted s ~leaves0 then Unknown
         else begin
           (* restarts and database reduction happen between leaves, when
              no analysis is in flight *)

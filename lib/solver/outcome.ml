@@ -21,9 +21,4 @@ let of_string = function
   | "unknown" -> Some Unknown
   | _ -> None
 
-let conclusive = function True | False -> true | Unknown -> false
-let pp = pp_outcome
-
-(* JSON leaf for status records and protocol frames (Qbf_obs.Json and
-   the serve protocol both embed outcomes as plain strings). *)
-let to_json_string = to_string
+let pp fmt o = Format.pp_print_string fmt (to_string o)

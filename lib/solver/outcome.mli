@@ -12,8 +12,5 @@ val to_char : Solver_types.outcome -> char
 (** Inverse of {!to_string}. *)
 val of_string : string -> Solver_types.outcome option
 
-val conclusive : Solver_types.outcome -> bool
+(** Prints {!to_string}. *)
 val pp : Format.formatter -> Solver_types.outcome -> unit
-
-(** Alias of {!to_string} for JSON embedding. *)
-val to_json_string : Solver_types.outcome -> string

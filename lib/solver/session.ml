@@ -33,7 +33,6 @@ type t = {
   mutable next_var : int;
   owner : int Vec.t; (* var -> block, for diagnostics/tests *)
   state : S.t;
-  hook : (unit -> bool) ref; (* per-call should_stop, see [solve] *)
   validate : bool;
   mutable pending : (int array * int) list; (* (lits, frame), reversed *)
   mutable dirty : bool; (* forest changed since the last flush *)
@@ -42,7 +41,6 @@ type t = {
   mutable disposed : bool;
 }
 
-let no_stop () = false
 let dummy_node = { quant = Quant.Exists; vars_rev = []; children_rev = [] }
 
 let check_live t op =
@@ -52,16 +50,6 @@ let default_validate = Sys.getenv_opt "QBF_SESSION_DEBUG" <> None
 
 let create ?(config = default_config) ?(validate = default_validate) ?proof ()
     =
-  let hook = ref no_stop in
-  (* Per-call budget: the session owns the [should_stop] slot and ORs a
-     swappable hook with whatever the caller configured, so each call
-     can install its own deadline without rebuilding the state. *)
-  let should_stop =
-    match config.budgets.should_stop with
-    | None -> Some (fun () -> !hook ())
-    | Some user -> Some (fun () -> !hook () || user ())
-  in
-  let config = with_should_stop should_stop config in
   (* a proof writer switches the state to proof mode for the session's
      lifetime (see State.create) *)
   let empty = Formula.make (Prefix.of_forest ~nvars:0 []) [] in
@@ -72,7 +60,6 @@ let create ?(config = default_config) ?(validate = default_validate) ?proof ()
     next_var = 0;
     owner = Vec.create (-1);
     state;
-    hook;
     validate;
     pending = [];
     dirty = false;
@@ -225,22 +212,20 @@ let flush t =
   S.requeue_all s;
   S.reseed_pure_queue s
 
-let solve_flushed ?should_stop t =
+let solve_flushed t =
   let s = t.state in
   let o = s.S.obs in
   if o.Obs.profile_on then
     Profile.span o.Obs.profile Profile.Build (fun () -> flush t)
   else flush t;
-  (match should_stop with Some f -> t.hook := f | None -> t.hook := no_stop);
   let before = copy_stats s.S.stats in
   let r = Engine.solve_state s in
-  t.hook := no_stop;
   { r with stats = diff_stats ~before r.stats }
 
-let solve ?(assumptions = []) ?should_stop t =
+let solve ?(assumptions = []) t =
   check_live t "solve";
   match assumptions with
-  | [] -> solve_flushed ?should_stop t
+  | [] -> solve_flushed t
   | lits ->
       (* An ephemeral frame of unit clauses: learned constraints that
          resolve with an assumption inherit its frame and vanish with
@@ -249,7 +234,7 @@ let solve ?(assumptions = []) ?should_stop t =
       List.iter (fun l -> add_clause t [ l ]) lits;
       Fun.protect
         ~finally:(fun () -> pop t)
-        (fun () -> solve_flushed ?should_stop t)
+        (fun () -> solve_flushed t)
 
 (* --- seeding from an existing formula ----------------------------------- *)
 

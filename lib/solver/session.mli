@@ -46,8 +46,8 @@ type block
 
 (** [create ()] starts an empty session (no variables, no clauses).
     The [config] is fixed for the session's lifetime; its budget hooks
-    apply to every call ([Session.solve]'s [?should_stop] adds a
-    per-call hook on top).
+    apply to every call, and [max_nodes] bounds the leaves of each call
+    on its own.
 
     [?proof] attaches a trace writer for the session's lifetime: every
     input clause, resolution and retraction is recorded, each conclusive
@@ -104,14 +104,9 @@ val frame : t -> int
     [formula ∧ ⋀ assumptions] and retracts the frame (and any learned
     constraint depending on it) afterwards; note that assuming a
     universal literal therefore yields [False] by universal reduction.
-    [should_stop] is a per-call budget hook polled alongside the
-    config's own.  The returned stats are the {e delta} of this call;
-    see {!stats} for cumulative totals. *)
-val solve :
-  ?assumptions:Qbf_core.Lit.t list ->
-  ?should_stop:(unit -> bool) ->
-  t ->
-  Solver_types.result
+    The returned stats are the {e delta} of this call; see {!stats} for
+    cumulative totals. *)
+val solve : ?assumptions:Qbf_core.Lit.t list -> t -> Solver_types.result
 
 (** Cumulative statistics over the whole session (a snapshot copy). *)
 val stats : t -> Solver_types.stats

@@ -286,10 +286,6 @@ type witness =
 
 type result = { outcome : outcome; stats : stats; witness : witness }
 
-let pp_outcome fmt o =
-  Format.pp_print_string fmt
-    (match o with True -> "true" | False -> "false" | Unknown -> "unknown")
-
 let pp_stats fmt s =
   Format.fprintf fmt
     "decisions=%d propagations=%d pures=%d conflicts=%d solutions=%d \

@@ -54,6 +54,11 @@ printf 'this is not a qbf\n' > "$tmp/bad.qdimacs"
 expect 10 "qube true instance" "$QUBE" "$tmp/true.qdimacs"
 expect 20 "qube false instance" "$QUBE" "$tmp/false.qdimacs"
 expect 30 "qube starved by node budget" "$QUBE" --max-nodes 1 "$HARD"
+"$QUBE" --max-nodes 1 --json-status "$HARD" > "$tmp/starved.json" 2>/dev/null
+got=$?
+[ "$got" -eq 30 ] || fail "qube --json-status starved: expected exit 30, got $got"
+grep -q '"report":{[^}]*"stopped":"node-budget"' "$tmp/starved.json" \
+  || fail "qube --json-status starved: report does not read stopped node-budget"
 expect 2 "qube malformed input" "$QUBE" "$tmp/bad.qdimacs"
 expect 2 "qube missing file" "$QUBE" "$tmp/does-not-exist.qdimacs"
 

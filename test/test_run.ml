@@ -1,7 +1,6 @@
 (* Robustness-path tests for the run harness (Qbf_run): structured
    input errors, amortized deadlines with an injectable clock,
-   cooperative interrupts, the memory guard plumbing, and the
-   budget-escalation portfolio. *)
+   cooperative interrupts, and the memory guard plumbing. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -127,6 +126,12 @@ let test_deadline_amortized () =
   in
   let r1, calls1 = run_with 1 in
   let r64, calls64 = run_with 64 in
+  (* the node budget, not the never-expiring deadline, ends both runs *)
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "stopped by the node budget" true
+        (r.Run.stopped = Some Run.Node_budget))
+    [ r1; r64 ];
   (* identical search, identical outcome and stats *)
   Alcotest.check Util.outcome "same outcome" r1.Run.outcome r64.Run.outcome;
   Alcotest.(check int) "same decisions" r1.Run.stats.ST.decisions
@@ -190,109 +195,6 @@ let test_interrupt_signal () =
         = Some (Limits.Interrupt.Signal Sys.sigint)))
 
 (* ------------------------------------------------------------------ *)
-(* Portfolio                                                           *)
-
-let test_portfolio_fallback () =
-  (* A small (4-variable) instance the expansion oracle can certify but
-     whose search still needs several leaves, so a 1-node budget starves
-     the first attempt without ending the search. *)
-  let rng = Qbf_gen.Rng.create 4 in
-  let f =
-    Qbf_gen.Randqbf.prenex rng ~nvars:4 ~levels:3 ~nclauses:15 ~len:4
-      ~min_exists:1 ()
-  in
-  let expected = Util.solver_outcome_of_bool (Eval.eval f) in
-  let attempts =
-    [
-      {
-        Run.label = "starved";
-        budget_s = None;
-        config = ST.(default_config |> with_max_nodes (Some 1));
-      };
-      { Run.label = "full"; budget_s = None; config = ST.default_config };
-    ]
-  in
-  let p = Run.portfolio attempts f in
-  Alcotest.(check int) "two attempts ran" 2 (List.length p.Run.attempts);
-  (let label, first = List.hd p.Run.attempts in
-   Alcotest.(check string) "first label" "starved" label;
-   Alcotest.check Util.outcome "first unknown" ST.Unknown first.Run.outcome;
-   Alcotest.(check bool) "first hit node budget" true
-     (first.Run.stopped = Some Run.Node_budget));
-  Alcotest.check Util.outcome "correct final outcome" expected p.Run.outcome;
-  let _, last = List.nth p.Run.attempts 1 in
-  Alcotest.check Util.outcome "last attempt conclusive" expected
-    last.Run.outcome;
-  Alcotest.(check bool) "last not stopped" true (last.Run.stopped = None)
-
-let test_portfolio_conclusive_first () =
-  (* a trivially false formula: the first attempt already concludes *)
-  let p = Prefix.of_blocks ~nvars:1 [ (Quant.Exists, [ 0 ]) ] in
-  let f = Formula.make p [ Util.clause [ 1 ]; Util.clause [ -1 ] ] in
-  let pr = Run.portfolio (Run.escalating ()) f in
-  Alcotest.(check int) "one attempt" 1 (List.length pr.Run.attempts);
-  Alcotest.check Util.outcome "false" ST.False pr.Run.outcome
-
-let test_portfolio_interrupted () =
-  let interrupt = Limits.Interrupt.create () in
-  Limits.Interrupt.trip interrupt;
-  let pr =
-    Run.portfolio ~interrupt (Run.escalating ()) (hard_formula ())
-  in
-  Alcotest.(check int) "no attempts ran" 0 (List.length pr.Run.attempts);
-  Alcotest.check Util.outcome "unknown" ST.Unknown pr.Run.outcome
-
-let test_portfolio_cancelled_mid_attempt () =
-  (* An interrupt latched *during* attempt 1 (here from its own
-     [should_stop] poll, standing in for a signal handler) must end that
-     attempt, keep its partial stats in the report, and stop the
-     escalation chain before any later rung runs. *)
-  let interrupt = Limits.Interrupt.create () in
-  let polls = ref 0 in
-  let tripping_poll () =
-    incr polls;
-    if !polls >= 10 then Limits.Interrupt.trip interrupt;
-    false
-  in
-  let attempts =
-    [
-      {
-        Run.label = "interrupted-rung";
-        budget_s = None;
-        config = ST.(default_config |> with_should_stop (Some tripping_poll));
-      };
-      { Run.label = "never-runs"; budget_s = None; config = ST.default_config };
-    ]
-  in
-  let pr = Run.portfolio ~interrupt attempts (hard_formula ()) in
-  Alcotest.(check int) "chain stopped after the interrupted attempt" 1
-    (List.length pr.Run.attempts);
-  Alcotest.check Util.outcome "unknown" ST.Unknown pr.Run.outcome;
-  let label, r = List.hd pr.Run.attempts in
-  Alcotest.(check string) "only the first rung ran" "interrupted-rung" label;
-  Alcotest.(check bool) "stopped by the interrupt" true
-    (r.Run.stopped = Some (Run.Interrupted Limits.Interrupt.Manual));
-  (* partial stats from the cancelled attempt survive *)
-  let s = r.Run.stats in
-  Alcotest.(check bool) "partial work recorded" true (s.ST.decisions > 0);
-  Alcotest.(check bool) "stats sane" true
-    (ST.nodes s = s.ST.conflicts + s.ST.solutions)
-
-let test_escalating_ladder () =
-  let ladder = Run.escalating ~base:0.25 ~factor:4. () in
-  Alcotest.(check int) "three rungs" 3 (List.length ladder);
-  match ladder with
-  | [ a; b; c ] ->
-      Alcotest.(check bool) "first budget" true (a.Run.budget_s = Some 0.25);
-      Alcotest.(check bool) "second budget escalates" true
-        (b.Run.budget_s = Some 1.0);
-      Alcotest.(check bool) "last unbounded" true (c.Run.budget_s = None);
-      Alcotest.(check bool) "heuristics alternate" true
-        (a.Run.config.ST.search.ST.heuristic = ST.Partial_order
-        && b.Run.config.ST.search.ST.heuristic = ST.Total_order)
-  | _ -> Alcotest.fail "expected three rungs"
-
-(* ------------------------------------------------------------------ *)
 (* Round trips through the loader stay sound                           *)
 
 let test_load_string_roundtrip () =
@@ -316,13 +218,5 @@ let suite =
     Alcotest.test_case "interrupt pre-tripped" `Quick test_interrupt_pretripped;
     Alcotest.test_case "interrupt mid-search" `Quick test_interrupt_mid_search;
     Alcotest.test_case "interrupt via signal" `Quick test_interrupt_signal;
-    Alcotest.test_case "portfolio fallback" `Quick test_portfolio_fallback;
-    Alcotest.test_case "portfolio conclusive first" `Quick
-      test_portfolio_conclusive_first;
-    Alcotest.test_case "portfolio interrupted" `Quick
-      test_portfolio_interrupted;
-    Alcotest.test_case "portfolio cancelled mid-attempt" `Quick
-      test_portfolio_cancelled_mid_attempt;
-    Alcotest.test_case "escalating ladder" `Quick test_escalating_ladder;
     Alcotest.test_case "loader roundtrip" `Quick test_load_string_roundtrip;
   ]

@@ -237,6 +237,31 @@ let test_stats_deltas () =
     (r1.ST.stats.ST.conflicts + r2.ST.stats.ST.conflicts);
   Session.dispose t
 
+(* [max_nodes] bounds each call on its own: after one call spends the
+   budget, the next calls still search up to that many leaves.  dune
+   copies the instance beside the test binary's directory. *)
+let test_node_budget_per_call () =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../examples/instances/ncf_hard.qdimacs"
+  in
+  let f =
+    match Qbf_run.Run.load path with
+    | Ok f -> f
+    | Error e -> Alcotest.fail (Qbf_run.Run_error.to_string e)
+  in
+  let config = ST.(default_config |> with_max_nodes (Some 50)) in
+  let t = Session.of_formula ~config f in
+  for call = 1 to 3 do
+    let r = Session.solve t in
+    let name = Printf.sprintf "call %d" call in
+    Alcotest.check Util.outcome (name ^ " unknown") ST.Unknown r.ST.outcome;
+    Alcotest.(check int) (name ^ " leaves") 50 (ST.nodes r.ST.stats);
+    Alcotest.(check bool) (name ^ " decides") true (r.ST.stats.ST.decisions > 0)
+  done;
+  Session.dispose t
+
 let suite =
   [
     Alcotest.test_case "push/pop vs oracle" `Quick test_push_pop_oracle;
@@ -250,4 +275,6 @@ let suite =
     Alcotest.test_case "validate rejects order change" `Quick
       test_validate_rejects_order_change;
     Alcotest.test_case "stats deltas" `Quick test_stats_deltas;
+    Alcotest.test_case "node budget per call" `Quick
+      test_node_budget_per_call;
   ]

@@ -133,7 +133,7 @@ let test_hist_percentile () =
 
 let test_prometheus_grammar () =
   let s = random_snapshot 10 in
-  let text = Metrics.snapshot_to_prometheus ~prefix:"qube_engine_" s in
+  let text = Metrics.snapshot_to_prometheus ~prefix:"qubed_engine_" s in
   (match Metrics.prom_check_text text with
   | Ok () -> ()
   | Error m -> Alcotest.failf "engine exposition fails grammar: %s" m);

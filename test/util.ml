@@ -52,12 +52,7 @@ let paper_formula_1_prenex () =
 let solver_outcome_of_bool b =
   if b then Qbf_solver.Solver_types.True else Qbf_solver.Solver_types.False
 
-let outcome_to_string = function
-  | Qbf_solver.Solver_types.True -> "true"
-  | Qbf_solver.Solver_types.False -> "false"
-  | Qbf_solver.Solver_types.Unknown -> "unknown"
-
-let outcome = Alcotest.testable (fun fmt o -> Format.pp_print_string fmt (outcome_to_string o)) ( = )
+let outcome = Alcotest.testable Qbf_solver.Outcome.pp ( = )
 
 (* All interesting engine configurations for differential testing. *)
 let configs () =
