@@ -39,10 +39,6 @@ module Interrupt = struct
     if not !(t.flag) then t.reason <- Some reason;
     t.flag := true
 
-  let clear t =
-    t.flag := false;
-    t.reason <- None
-
   (* Install handlers that trip [t]; returns a restore function.  The
      handler only flips a ref, so it is async-signal-safe for the
      engine: the search loop notices the flag at its next budget check

@@ -40,7 +40,6 @@ module Interrupt : sig
   (** First cause only: later trips do not overwrite it. *)
 
   val trip : ?reason:reason -> t -> unit
-  val clear : t -> unit
 
   val install : ?signals:int list -> t -> unit -> unit
   (** Install handlers (default SIGINT and SIGTERM) that {!trip} the

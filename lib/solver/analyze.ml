@@ -479,12 +479,19 @@ let cover_with s w ~virtual_flips =
      DB reduction and session retraction.) *)
   for k = Db.num_originals db - 1 downto 0 do
     let cid = Db.original db k in
-    if Db.active db cid && not (Db.exists_lit db cid (fun m -> chosen.(m) = e))
-    then begin
-      (* nothing here is chosen: [m] is free iff [neg m] is not *)
-      let best = ref (-1) and best_rank = ref max_int in
-      Db.iter_lits db cid (fun m ->
-          if chosen.(S.neg m) <> e then
+    if Db.active db cid then begin
+      let lits = Db.arena db and a = Db.start db cid in
+      let stop = a + Db.num_lits db cid in
+      let i = ref a in
+      while !i < stop && chosen.(lits.(!i)) <> e do
+        incr i
+      done;
+      if !i = stop then begin
+        (* nothing here is chosen: [m] is free iff [neg m] is not *)
+        let best = ref (-1) and best_rank = ref max_int in
+        for i = a to stop - 1 do
+          let m = lits.(i) in
+          if chosen.(S.neg m) <> e then begin
             let r = rank m in
             if
               r < !best_rank
@@ -493,9 +500,12 @@ let cover_with s w ~virtual_flips =
             then begin
               best := m;
               best_rank := r
-            end);
-      if !best < 0 then raise Cover_stuck;
-      choose !best
+            end
+          end
+        done;
+        if !best < 0 then raise Cover_stuck;
+        choose !best
+      end
     end
   done;
   (* Full chosen set, including reducible/virtual literals that never

@@ -154,18 +154,14 @@ let active db cid = db.flags.(cid) land f_active <> 0
 let frame db cid = db.frame.(cid)
 let num_lits db cid = db.len.(cid)
 let lit db cid k = db.lits.(db.start.(cid) + k)
+let start db cid = db.start.(cid)
+let arena db = db.lits
 
 let iter_lits db cid f =
   let s = db.start.(cid) in
   for i = s to s + db.len.(cid) - 1 do
     f db.lits.(i)
   done
-
-let exists_lit db cid p =
-  let s = db.start.(cid) in
-  let stop = s + db.len.(cid) in
-  let rec go i = i < stop && (p db.lits.(i) || go (i + 1)) in
-  go s
 
 let lits_list db cid =
   let s = db.start.(cid) in

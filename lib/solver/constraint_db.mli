@@ -14,7 +14,9 @@
    This interface is the only path to constraint storage.  No other
    module sees a constraint record; everything goes through these
    accessors, so the representation (and in particular [compact], which
-   renumbers every id) stays a local concern.
+   renumbers every id) stays a local concern.  The one exception is the
+   read-only slice view ([start], [arena]) that the propagation and
+   cover scans loop over.
 
    [compact] is the reduction/retraction primitive: it drops every
    deactivated constraint, slides the survivors left in O(database),
@@ -47,8 +49,16 @@ val num_lits : t -> int -> int
 
 (* [lit db cid k] is the [k]-th literal of constraint [cid]. *)
 val lit : t -> int -> int -> int
+
+(* Read-only view of a slice, for scans that must not pay a call per
+   literal: constraint [cid]'s literals are [(arena db).(i)] for [i] in
+   [start db cid .. start db cid + num_lits db cid - 1].  Both are
+   invalidated by [add], which may reallocate the arena, and by
+   [compact], which slides the slices. *)
+val start : t -> int -> int
+val arena : t -> int array
+
 val iter_lits : t -> int -> (int -> unit) -> unit
-val exists_lit : t -> int -> (int -> bool) -> bool
 val lits_list : t -> int -> int list
 val copy_lits : t -> int -> int array
 

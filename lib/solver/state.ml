@@ -202,15 +202,22 @@ let announce s kind cid opens =
 let clause_now_satisfied s cid =
   (* fixed went 0 -> 1: the clause leaves the "unsatisfied" pool. *)
   s.unsat_originals <- s.unsat_originals - 1;
-  Db.iter_lits s.db cid (fun m ->
-      s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
-      if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
-        Vec.push s.pure_q m)
+  let lits = Db.arena s.db and a = Db.start s.db cid in
+  for i = a to a + Db.num_lits s.db cid - 1 do
+    let m = lits.(i) in
+    s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
+    if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
+      Vec.push s.pure_q m
+  done
 
 let clause_now_unsatisfied s cid =
   (* fixed went 1 -> 0 on backtrack. *)
   s.unsat_originals <- s.unsat_originals + 1;
-  Db.iter_lits s.db cid (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1)
+  let lits = Db.arena s.db and a = Db.start s.db cid in
+  for i = a to a + Db.num_lits s.db cid - 1 do
+    let m = lits.(i) in
+    s.pos_unsat.(m) <- s.pos_unsat.(m) + 1
+  done
 
 (* --- constraint touch on assignment ------------------------------------ *)
 
@@ -244,27 +251,53 @@ let eligible s kind m =
   | Clause_c -> lit_value s m <> 0
   | Cube_c -> lit_value s m <> 1
 
+(* [find_watch_pair], [scan_status], [open_primary] and [unit_blocked]
+   run on every watch move and every queued learned constraint, so each
+   is a plain loop over the constraint's arena slice with the kind's
+   predicates fixed once per call: [pe] says that primaries are
+   existential (a clause), and [bad] is the value of an assigned literal
+   that is not settling — ineligible as a watch — 0 for a clause, 1 for
+   a cube.  A literal [m] of an assigned variable [v] has value
+   [value.(v) lxor (m land 1)], which is [lit_value]. *)
+
 (* Find two distinct eligible, structurally compatible literals: two
    primaries, else one primary plus an eligible secondary preceding it.
-   Scans in arena order, so the result is deterministic. *)
+   Scans in arena order, so the result is deterministic: the first two
+   eligible primaries, else the first eligible primary and the first
+   secondary for it. *)
 let find_watch_pair s cid =
-  let kind = Db.kind s.db cid in
-  let p1 = ref (-1) and p2 = ref (-1) in
-  Db.iter_lits s.db cid (fun m ->
-      if eligible s kind m && primary s kind m then
-        if !p1 < 0 then p1 := m else if !p2 < 0 then p2 := m);
+  let db = s.db and value = s.value and is_exist = s.is_exist in
+  let lits = Db.arena db and a = Db.start db cid in
+  let stop = a + Db.num_lits db cid in
+  let cube = Db.is_cube db cid in
+  let pe = not cube and bad = if cube then 1 else 0 in
+  let p1 = ref (-1) and p2 = ref (-1) and i = ref a in
+  while !p2 < 0 && !i < stop do
+    let m = lits.(!i) in
+    let v = var m in
+    if is_exist.(v) = pe then begin
+      let w = value.(v) in
+      if w < 0 || w lxor (m land 1) <> bad then
+        if !p1 < 0 then p1 := m else p2 := m
+    end;
+    incr i
+  done;
   if !p1 < 0 then None
   else if !p2 >= 0 then Some (!p1, !p2)
   else begin
     let p = !p1 in
-    let sec = ref (-1) in
-    Db.iter_lits s.db cid (fun m ->
-        if
-          !sec < 0
-          && (not (primary s kind m))
-          && eligible s kind m
-          && precedes s (var m) (var p)
-        then sec := m);
+    let d = s.d and f = s.f in
+    let dp = d.(var p) in
+    let sec = ref (-1) and i = ref a in
+    while !sec < 0 && !i < stop do
+      let m = lits.(!i) in
+      let v = var m in
+      if is_exist.(v) <> pe && d.(v) < dp && dp <= f.(v) then begin
+        let w = value.(v) in
+        if w < 0 || w lxor (m land 1) <> bad then sec := m
+      end;
+      incr i
+    done;
     if !sec >= 0 then Some (p, !sec) else None
   end
 
@@ -276,18 +309,16 @@ let unwatch s kind cid m =
   in
   go 0
 
-(* Move the watches of [cid] to [(a, b)].  Safe while iterating the
-   watch list of an *ineligible* literal: that literal is never in the
-   new pair, so its entry — the one at the iteration cursor — is
-   removed. *)
-let set_watch_pair s cid a b =
+(* Move the watches of [cid] to [(a, b)]: drop the entry of every old
+   watch that leaves the pair, except [gone]'s, which the caller has
+   already removed (-1: none), and register the new watches. *)
+let set_watch_pair s cid ~gone a b =
   let kind = Db.kind s.db cid in
-  let keep x = x = a || x = b in
   let old1 = Db.w1 s.db cid and old2 = Db.w2 s.db cid in
-  if old1 >= 0 then begin
-    if not (keep old1) then unwatch s kind cid old1;
-    if old2 <> old1 && not (keep old2) then unwatch s kind cid old2
-  end;
+  if old1 >= 0 && old1 <> gone && old1 <> a && old1 <> b then
+    unwatch s kind cid old1;
+  if old2 >= 0 && old2 <> old1 && old2 <> gone && old2 <> a && old2 <> b then
+    unwatch s kind cid old2;
   Db.set_watches s.db cid a b;
   if a <> old1 && a <> old2 then Vec.push (watch_list s kind a) cid;
   if b <> a && b <> old1 && b <> old2 then Vec.push (watch_list s kind b) cid
@@ -295,12 +326,20 @@ let set_watch_pair s cid a b =
 (* Exact [(opens, fixed)] of a watch-maintained constraint (its counter
    fields are dead), by scanning the assignment. *)
 let scan_status s cid =
-  let kind = Db.kind s.db cid in
+  let db = s.db and value = s.value and is_exist = s.is_exist in
+  let lits = Db.arena db and a = Db.start db cid in
+  let cube = Db.is_cube db cid in
+  let pe = not cube and bad = if cube then 1 else 0 in
   let opens = ref 0 and fixed = ref 0 in
-  Db.iter_lits s.db cid (fun m ->
-      match lit_value s m with
-      | -1 -> if primary s kind m then incr opens
-      | v -> if settles kind v then incr fixed);
+  for i = a to a + Db.num_lits db cid - 1 do
+    let m = lits.(i) in
+    let v = var m in
+    let w = value.(v) in
+    if w < 0 then begin
+      if is_exist.(v) = pe then incr opens
+    end
+    else if w lxor (m land 1) <> bad then incr fixed
+  done;
   (!opens, !fixed)
 
 let classify_and_queue s cid =
@@ -309,19 +348,40 @@ let classify_and_queue s cid =
 
 (* The unit rule of Lemma 5 and its dual, for a constraint with no
    settling literal and one open primary: [open_primary] finds that
-   primary [p], and the rule is blocked when an unassigned non-primary
-   literal ≺-precedes it. *)
+   primary [p] (the last open one in arena order, -1 if none), and the
+   rule is blocked when an unassigned non-primary literal ≺-precedes
+   it. *)
 let open_primary s kind cid =
-  let p = ref (-1) in
-  Db.iter_lits s.db cid (fun m ->
-      if lit_value s m < 0 && primary s kind m then p := m);
-  !p
+  let value = s.value and is_exist = s.is_exist in
+  let lits = Db.arena s.db and a = Db.start s.db cid in
+  let pe = kind = Clause_c in
+  let i = ref (a + Db.num_lits s.db cid - 1) in
+  while
+    !i >= a
+    &&
+    let v = var lits.(!i) in
+    value.(v) >= 0 || is_exist.(v) <> pe
+  do
+    decr i
+  done;
+  if !i >= a then lits.(!i) else -1
 
+(* [p] must be a literal. *)
 let unit_blocked s kind cid p =
-  Db.exists_lit s.db cid (fun m ->
-      lit_value s m < 0
-      && (not (primary s kind m))
-      && precedes s (var m) (var p))
+  let value = s.value and is_exist = s.is_exist and d = s.d and f = s.f in
+  let lits = Db.arena s.db and a = Db.start s.db cid in
+  let stop = a + Db.num_lits s.db cid in
+  let pe = kind = Clause_c and dp = d.(var p) in
+  let i = ref a in
+  while
+    !i < stop
+    &&
+    let v = var lits.(!i) in
+    not (value.(v) < 0 && is_exist.(v) <> pe && d.(v) < dp && dp <= f.(v))
+  do
+    incr i
+  done;
+  !i < stop
 
 (* A compatible eligible watch pair cannot be found right now: flag the
    constraint and register it for post-backtrack repair.  Assignments
@@ -343,7 +403,7 @@ let register_parked s cid =
    entry was pushed. *)
 let repair_watches s cid =
   match find_watch_pair s cid with
-  | Some (a, b) -> set_watch_pair s cid a b
+  | Some (a, b) -> set_watch_pair s cid ~gone:(-1) a b
   | None ->
       classify_and_queue s cid;
       register_parked s cid
@@ -399,9 +459,12 @@ let visit_watchers s kind m =
         else
           match find_watch_pair s cid with
           | Some (a, b) ->
-              (* [m] is ineligible, so the new pair excludes it and this
-                 removes the entry at [!i]: do not advance *)
-              set_watch_pair s cid a b
+              (* [m] is ineligible, so the new pair excludes it.  A
+                 watched constraint sits once in each watch's list, so
+                 its entry for [m] is the one at the cursor: remove it
+                 there and do not advance *)
+              Vec.swap_remove wl !i;
+              set_watch_pair s cid ~gone:m a b
           | None ->
               classify_and_queue s cid;
               register_parked s cid;
@@ -488,15 +551,27 @@ let assign s l ante =
   Vec.push s.trail l;
   let b = s.block_of.(v) in
   s.block_unassigned.(b) <- s.block_unassigned.(b) - 1;
-  Vec.iter (fun cid -> touch_assign s cid l 1) s.occ.(l);
-  Vec.iter (fun cid -> touch_assign s cid (neg l) 0) s.occ.(neg l);
+  let occ = s.occ.(l) in
+  for i = 0 to Vec.length occ - 1 do
+    touch_assign s (Vec.get occ i) l 1
+  done;
+  let occ = s.occ.(neg l) in
+  for i = 0 to Vec.length occ - 1 do
+    touch_assign s (Vec.get occ i) (neg l) 0
+  done;
   visit_watchers s Clause_c (neg l);
   visit_watchers s Cube_c l
 
 let unassign s l =
   let v = var l in
-  Vec.iter (fun cid -> touch_unassign s cid l 1) s.occ.(l);
-  Vec.iter (fun cid -> touch_unassign s cid (neg l) 0) s.occ.(neg l);
+  let occ = s.occ.(l) in
+  for i = 0 to Vec.length occ - 1 do
+    touch_unassign s (Vec.get occ i) l 1
+  done;
+  let occ = s.occ.(neg l) in
+  for i = 0 to Vec.length occ - 1 do
+    touch_unassign s (Vec.get occ i) (neg l) 0
+  done;
   (* phase saving: remember the polarity this assignment had, whoever
      made it; the heuristic decides whether to consult it *)
   s.saved_phase.(v) <- s.value.(v);
@@ -535,7 +610,7 @@ let repair_parked s =
     else
       match find_watch_pair s cid with
       | Some (a, b) ->
-          set_watch_pair s cid a b;
+          set_watch_pair s cid ~gone:(-1) a b;
           Db.set_parked s.db cid false;
           Vec.swap_remove s.parked_q !i
       | None ->

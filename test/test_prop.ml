@@ -24,8 +24,9 @@ let random_clauses rng prefix ~nvars ~n =
 (* White-box check of the watched-literal invariants on every active
    watch-maintained constraint of [s]:
 
-   - both watches are literals of the constraint and registered in the
-     corresponding watch lists;
+   - both watches are literals of the constraint, and the constraint
+     sits exactly once in each watch's list (the watch kernel removes a
+     moving watch's entry at the cursor of the list it is visiting);
    - a non-parked constraint's watches are structurally compatible (two
      primaries, or a secondary preceding a primary — the value-independent
      shape that survives backtracking);
@@ -47,14 +48,17 @@ let check_watch_invariants label s =
       let kind = Db.kind db cid in
       let w1 = Db.w1 db cid and w2 = Db.w2 db cid in
       let name fmt = Printf.sprintf fmt cid in
-      let in_lits m = Db.exists_lit db cid (fun l -> l = m) in
+      let in_lits m = List.mem m (Db.lits_list db cid) in
       check (name "constraint %d: w1 in lits") (in_lits w1);
       check (name "constraint %d: w2 in lits") (in_lits w2);
-      let watched m =
-        Vec.exists (fun x -> x = cid) (S.watch_list s kind m)
+      let watched_once m =
+        Vec.fold
+          (fun n x -> if x = cid then n + 1 else n)
+          0 (S.watch_list s kind m)
+        = 1
       in
-      check (name "constraint %d: w1 registered") (watched w1);
-      check (name "constraint %d: w2 registered") (watched w2);
+      check (name "constraint %d: w1 registered once") (watched_once w1);
+      check (name "constraint %d: w2 registered once") (watched_once w2);
       if Db.parked db cid then
         check
           (name "constraint %d: parked constraint registered in parked_q")

@@ -358,6 +358,153 @@ let test_order_reaches_set_aside () =
   done;
   Alcotest.(check bool) "PO picks set candidates aside" true (!aside > 0)
 
+(* --- the watch kernel against the closure-based scans it replaced ------ *)
+
+module Db = Qbf_solver.Constraint_db
+
+(* State's learned-constraint scans as they were before they became
+   loops over the arena slice: one closure call and one match on the
+   kind per literal.  ([unit_blocked] called [Db.exists_lit], which went
+   with it; its copy walks the literal list.) *)
+let oracle_find_watch_pair s cid =
+  let kind = Db.kind s.S.db cid in
+  let p1 = ref (-1) and p2 = ref (-1) in
+  Db.iter_lits s.S.db cid (fun m ->
+      if S.eligible s kind m && S.primary s kind m then
+        if !p1 < 0 then p1 := m else if !p2 < 0 then p2 := m);
+  if !p1 < 0 then None
+  else if !p2 >= 0 then Some (!p1, !p2)
+  else begin
+    let p = !p1 in
+    let sec = ref (-1) in
+    Db.iter_lits s.S.db cid (fun m ->
+        if
+          !sec < 0
+          && (not (S.primary s kind m))
+          && S.eligible s kind m
+          && S.precedes s (S.var m) (S.var p)
+        then sec := m);
+    if !sec >= 0 then Some (p, !sec) else None
+  end
+
+let oracle_scan_status s cid =
+  let kind = Db.kind s.S.db cid in
+  let opens = ref 0 and fixed = ref 0 in
+  Db.iter_lits s.S.db cid (fun m ->
+      match S.lit_value s m with
+      | -1 -> if S.primary s kind m then incr opens
+      | v -> if S.settles kind v then incr fixed);
+  (!opens, !fixed)
+
+let oracle_open_primary s kind cid =
+  let p = ref (-1) in
+  Db.iter_lits s.S.db cid (fun m ->
+      if S.lit_value s m < 0 && S.primary s kind m then p := m);
+  !p
+
+let oracle_unit_blocked s kind cid p =
+  List.exists
+    (fun m ->
+      S.lit_value s m < 0
+      && (not (S.primary s kind m))
+      && S.precedes s (S.var m) (S.var p))
+    (Db.lits_list s.S.db cid)
+
+(* Literals over up to six distinct variables, a fifth of them entered
+   as a merged pair (both literals).  Half the time they are sorted, as
+   Analyze stores a learned constraint; otherwise shuffled, so that a
+   secondary can follow its primary in the arena even though the
+   generators number variables roughly in prefix order. *)
+let random_lits rng ~nvars =
+  let width = 1 + Rng.int rng (min nvars 6) in
+  let lits =
+    List.init width (fun _ -> Rng.int rng nvars)
+    |> List.sort_uniq Int.compare
+    |> List.concat_map (fun v ->
+           if Rng.int rng 5 = 0 then [ 2 * v; (2 * v) + 1 ]
+           else [ (2 * v) + Rng.int rng 2 ])
+    |> Array.of_list
+  in
+  if Rng.bool rng then
+    for i = Array.length lits - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let x = lits.(i) in
+      lits.(i) <- lits.(j);
+      lits.(j) <- x
+    done;
+  lits
+
+let pp_pair = function
+  | None -> "none"
+  | Some (a, b) -> Printf.sprintf "(%d, %d)" a b
+
+(* Every scan of every active constraint of [s] against its oracle, under
+   the assignment [s] holds; [unit_blocked] for each literal of the
+   constraint as the unit candidate. *)
+let check_kernels s what =
+  let db = s.S.db in
+  for cid = 0 to Db.size db - 1 do
+    if Db.active db cid then begin
+      let kind = Db.kind db cid in
+      let fail fmt =
+        QCheck2.Test.fail_reportf ("%s: constraint %d: " ^^ fmt) what cid
+      in
+      let got = S.find_watch_pair s cid and want = oracle_find_watch_pair s cid in
+      if got <> want then
+        fail "find_watch_pair %s, oracle %s" (pp_pair got) (pp_pair want);
+      let got = S.scan_status s cid and want = oracle_scan_status s cid in
+      if got <> want then
+        fail "scan_status (%d, %d), oracle (%d, %d)" (fst got) (snd got)
+          (fst want) (snd want);
+      let got = S.open_primary s kind cid
+      and want = oracle_open_primary s kind cid in
+      if got <> want then fail "open_primary %d, oracle %d" got want;
+      Db.iter_lits db cid (fun p ->
+          let got = S.unit_blocked s kind cid p
+          and want = oracle_unit_blocked s kind cid p in
+          if got <> want then
+            fail "unit_blocked for %d %b, oracle %b" p got want)
+    end
+  done
+
+(* Random partial assignments, written straight into [value]: the
+   kernels read nothing else that changes during search. *)
+let check_kernels_under_assignments rng s what =
+  for round = 1 to 4 do
+    for v = 0 to s.S.nvars - 1 do
+      s.S.value.(v) <- Rng.int rng 3 - 1
+    done;
+    check_kernels s (Printf.sprintf "%s, assignment %d" what round)
+  done
+
+(* On a random tree or prenex formula: the matrix plus random learned
+   clauses and cubes, then the learned database of a budgeted session
+   search, whose learned constraints may carry long-distance merges. *)
+let prop_kernels_match_oracle seed =
+  let rng = Rng.create seed in
+  let nvars = 1 + Rng.int rng 14 in
+  let nclauses = 1 + Rng.int rng (2 * nvars) in
+  let f =
+    if Rng.bool rng then Qbf_gen.Randqbf.tree rng ~nvars ~nclauses ~len:3 ()
+    else
+      Qbf_gen.Randqbf.prenex rng ~nvars ~levels:(1 + Rng.int rng 4) ~nclauses
+        ~len:3 ~min_exists:0 ()
+  in
+  let s = S.create f ST.default_config in
+  for _ = 1 to 5 + Rng.int rng 20 do
+    let kind = if Rng.bool rng then ST.Clause_c else ST.Cube_c in
+    ignore (S.add_constraint s kind ~learned:true (random_lits rng ~nvars))
+  done;
+  check_kernels_under_assignments rng s "added constraints";
+  let config = ST.(default_config |> with_max_nodes (Some (Rng.int rng 60))) in
+  let t = Session.of_formula ~config f in
+  ignore (Session.solve t);
+  let s = Session.state_for_testing t in
+  check_kernels s "after a session solve";
+  check_kernels_under_assignments rng s "after a session solve";
+  Session.dispose t;
+  true
+
 let suite =
   [
     Alcotest.test_case "vec container" `Quick test_vec;
@@ -381,4 +528,7 @@ let suite =
       prop_order_matches_scans;
     Alcotest.test_case "order heap reaches the set-aside path" `Quick
       test_order_reaches_set_aside;
+    Util.qcheck_case ~count:300 "watch kernel scans as the closures do"
+      (QCheck2.Gen.int_range 0 10_000_000)
+      prop_kernels_match_oracle;
   ]
