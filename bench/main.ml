@@ -5,7 +5,7 @@
      bench/main.exe [section ...] [--timeout S] [--per-setting N] [--full]
 
    Sections: table1-ncf table1-fpv table1-dia table1-eval
-             fig3 fig4 fig5 fig6 fig7 dia-inc prop ablation micro
+             fig3 fig4 fig5 fig6 fig7 dia-inc prop ablation
              all (default: all)
 
    The dia-inc section compares the incremental diameter session
@@ -387,56 +387,6 @@ let ablation o =
   in
   print_endline (Rep.render_table Qbf_bench.Ablation.header rows)
 
-(* ---------- micro-benchmarks (bechamel) --------------------------------- *)
-
-let micro () =
-  section "Micro-benchmarks (bechamel): core operations";
-  let open Bechamel in
-  let rng = Qbf_gen.Rng.create 99 in
-  let f = Qbf_gen.Randqbf.prenex rng ~nvars:60 ~levels:4 ~nclauses:240 ~len:3 () in
-  let prefix = Qbf_core.Formula.prefix f in
-  let model = Qbf_models.Families.counter ~bits:3 in
-  let tests =
-    [
-      Test.make ~name:"prefix.precedes"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             for a = 0 to 59 do
-               for b = 0 to 59 do
-                 if Qbf_core.Prefix.precedes prefix a b then incr acc
-               done
-             done;
-             !acc));
-      Test.make ~name:"solve-60var-qbf"
-        (Staged.stage (fun () ->
-             (Qbf_solver.Engine.solve f).ST.outcome));
-      Test.make ~name:"miniscope-240cl"
-        (Staged.stage (fun () -> Qbf_prenex.Miniscope.minimize f));
-      Test.make ~name:"build-phi3-counter3"
-        (Staged.stage (fun () -> Qbf_models.Diameter.phi model ~n:3));
-    ]
-  in
-  (* Run with modest quota to keep the harness fast. *)
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let measures = Toolkit.Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg measures test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-24s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-24s (no estimate)\n%!" name)
-        ols)
-    tests
-
 (* ---------- driver ------------------------------------------------------- *)
 
 let sections =
@@ -453,7 +403,6 @@ let sections =
     ("dia-inc", dia_inc);
     ("prop", prop);
     ("ablation", ablation);
-    ("micro", fun _ -> micro ());
   ]
 
 let () =

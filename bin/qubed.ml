@@ -49,10 +49,6 @@ let batch_error fmt =
 
 (* ---------- batch parsing ------------------------------------------- *)
 
-let member_string k j = Option.bind (Json.member k j) Json.to_string_opt
-let member_float k j = Option.bind (Json.member k j) Json.to_float_opt
-let member_int k j = Option.bind (Json.member k j) Json.to_int_opt
-
 let job_of_line ~lineno ~id line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None
@@ -62,7 +58,7 @@ let job_of_line ~lineno ~id line =
     | Error msg -> batch_error "batch line %d: %s" lineno msg
     | Ok j ->
         let source =
-          match (member_string "path" j, member_string "inline" j) with
+          match (Json.member_string "path" j, Json.member_string "inline" j) with
           | Some p, _ -> Run.Path p
           | None, Some text -> Run.Inline text
           | None, None ->
@@ -71,9 +67,9 @@ let job_of_line ~lineno ~id line =
         in
         Some
           (Protocol.job ~id
-             ?timeout_s:(member_float "timeout_s" j)
-             ?mem_mb:(member_int "mem_mb" j)
-             ?max_nodes:(member_int "max_nodes" j)
+             ?timeout_s:(Json.member_float "timeout_s" j)
+             ?mem_mb:(Json.member_int "mem_mb" j)
+             ?max_nodes:(Json.member_int "max_nodes" j)
              source)
 
 let read_batch = function

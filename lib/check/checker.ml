@@ -2,7 +2,7 @@
 
    Replays a qproof trace (see lib/solver/proof.ml for the grammar)
    with its own minimal resolution rules, sharing nothing with the
-   solver beyond the core formula types and the QDIMACS readers.  The
+   solver beyond the core formula types and the instance loader.  The
    checker works directly on DIMACS integers: a literal is a nonzero
    int, its variable the absolute value.
 
@@ -97,7 +97,7 @@ let clause_key c =
 (* Formula mode sizes the tables once, from the formula.  Trust mode
    starts empty and grows them on [v] records, up to the largest
    variable count the QDIMACS loader accepts. *)
-let max_trust_var = Qbf_io.Qdimacs.max_declared_vars
+let max_trust_var = Qbf_io.Syntax.max_declared_vars
 
 let resize st n =
   let grow a = Array.append a (Array.make (n - Array.length a) 0) in
@@ -550,38 +550,9 @@ let check_file ?formula path =
         (fun () -> check_channel ?formula ic)
   | exception Sys_error msg -> Error { line = 0; msg }
 
-(* Format sniffing duplicated from Qbf_run.Run on purpose: the checker
-   must not link solver code, and the decision is five lines. *)
-let load_formula path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic -> (
-      match
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error msg
-      | exception End_of_file -> Error (path ^ ": truncated read")
-      | text ->
-          let is_ncnf =
-            let rec scan = function
-              | [] -> false
-              | line :: rest ->
-                  let t = String.trim line in
-                  if t = "" || t.[0] = 'c' then scan rest
-                  else String.length t >= 6 && String.sub t 0 6 = "p ncnf"
-            in
-            scan (String.split_on_char '\n' text)
-          in
-          if is_ncnf then
-            Qbf_io.Nqdimacs.parse_string_res text
-            |> Result.map_error Qbf_io.Nqdimacs.string_of_error
-          else
-            Qbf_io.Qdimacs.parse_string_res text
-            |> Result.map_error Qbf_io.Qdimacs.string_of_error)
-
+(* The formula goes through the one loader the solver's front ends use,
+   so a bad formula reads the same diagnostic as under [qube]. *)
 let check_against ~formula_path proof_path =
-  match load_formula formula_path with
-  | Error msg -> Error { line = 0; msg = formula_path ^ ": " ^ msg }
+  match Qbf_io.Load.of_file formula_path with
+  | Error e -> Error { line = 0; msg = Qbf_io.Load.error_to_string e }
   | Ok formula -> check_file ~formula proof_path

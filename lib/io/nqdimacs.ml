@@ -12,25 +12,11 @@
    variables are implicitly outermost existentials, as in the paper.
    Clauses are DIMACS-style, 0-terminated.
 
-   Failures carry a 1-based line/column position; [parse_*] raise the
-   legacy [Parse_error] string exception, the [*_res] variants return a
-   positioned [error] for the run harness (Qbf_run). *)
+   Failures carry a 1-based line/column position (see Syntax). *)
 
 open Qbf_core
 
-type error = { line : int; col : int; msg : string }
-
-exception Parse_error of string
-exception Parse_error_at of error
-
-let string_of_error (e : error) =
-  if e.line > 0 then Printf.sprintf "line %d, column %d: %s" e.line e.col e.msg
-  else e.msg
-
-let fail_at ~line ~col fmt =
-  Format.kasprintf
-    (fun msg -> raise (Parse_error_at { line; col; msg }))
-    fmt
+let fail_at = Syntax.fail_at
 
 type pos = { pline : int; pcol : int }
 
@@ -154,11 +140,11 @@ let parse_string_exn s =
       | [ "p"; "ncnf"; nv; _nc ] ->
           let nvars =
             match int_of_string_opt nv with
-            | Some n when n >= 0 && n <= Qdimacs.max_declared_vars -> n
-            | Some n when n > Qdimacs.max_declared_vars ->
+            | Some n when n >= 0 && n <= Syntax.max_declared_vars -> n
+            | Some n when n > Syntax.max_declared_vars ->
                 fail_at ~line:hline ~col:1
                   "header declares %d variables (limit %d)" n
-                  Qdimacs.max_declared_vars
+                  Syntax.max_declared_vars
             | _ -> fail_at ~line:hline ~col:1 "bad variable count %S" nv
           in
           (* Everything from the `t` marker up to the first clause line is
@@ -231,47 +217,7 @@ let parse_string_exn s =
           fail_at ~line:hline ~col:1
             "expected 'p ncnf <nvars> <nclauses>' header")
 
-let parse_string_res s =
-  match parse_string_exn s with
-  | f -> Ok f
-  | exception Parse_error_at e -> Error e
-  | exception Prefix.Ill_formed msg -> Error { line = 0; col = 0; msg }
-  | exception Stack_overflow ->
-      (* belt and braces behind [max_tree_depth]: whatever recursion an
-         adversarial input still finds, loading must return an error *)
-      Error { line = 0; col = 0; msg = "input nested too deeply" }
-
-let parse_string s =
-  match parse_string_res s with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
-
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
-
-let parse_channel_res ic = parse_string_res (read_all ic)
-
-let parse_channel ic =
-  match parse_channel_res ic with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
-
-let parse_file_res path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse_channel_res ic)
-
-let parse_file path =
-  match parse_file_res path with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
+let parse s = Syntax.protect parse_string_exn s
 
 let rec print_tree fmt (Prefix.Node (q, vars, children)) =
   Format.fprintf fmt "(%s" (Quant.symbol q);

@@ -11,24 +11,9 @@
     variables; variables not bound anywhere are implicitly outermost
     existentials.  Clauses are DIMACS-style, 0-terminated. *)
 
-(** A positioned parse/validation failure.  [line]/[col] are 1-based;
-    [line = 0] means the position is unknown. *)
-type error = { line : int; col : int; msg : string }
+val parse : string -> (Qbf_core.Formula.t, Syntax.error) result
+(** Syntax and validation failures come back as [Error] (see {!Load}). *)
 
-val string_of_error : error -> string
-
-exception Parse_error of string
-(** Legacy string exception, raised by the non-[_res] entry points. *)
-
-exception Parse_error_at of error
-(** Internal positioned failure; the [_res] entry points catch it. *)
-
-val parse_string_res : string -> (Qbf_core.Formula.t, error) result
-val parse_channel_res : in_channel -> (Qbf_core.Formula.t, error) result
-val parse_file_res : string -> (Qbf_core.Formula.t, error) result
-val parse_string : string -> Qbf_core.Formula.t
-val parse_channel : in_channel -> Qbf_core.Formula.t
-val parse_file : string -> Qbf_core.Formula.t
 val print : Format.formatter -> Qbf_core.Formula.t -> unit
 val to_string : Qbf_core.Formula.t -> string
 val write_file : string -> Qbf_core.Formula.t -> unit

@@ -11,32 +11,11 @@
    Variables are 1-based externally and mapped to the dense 0-based
    variables of {!Qbf_core.Lit}.
 
-   Failures carry a 1-based line/column position; [parse_*] raise the
-   legacy [Parse_error] string exception, the [*_res] variants return a
-   positioned [error] for the run harness (Qbf_run). *)
+   Failures carry a 1-based line/column position (see Syntax). *)
 
 open Qbf_core
 
-type error = { line : int; col : int; msg : string }
-
-exception Parse_error of string
-exception Parse_error_at of error
-
-let string_of_error e =
-  if e.line > 0 then Printf.sprintf "line %d, column %d: %s" e.line e.col e.msg
-  else e.msg
-
-(* A header declaring more variables than this is corrupt or hostile:
-   the loader would otherwise allocate per-variable structures for a
-   count that no real instance reaches, turning a bad byte into an
-   out-of-memory crash.  (The largest published QBF benchmarks are in
-   the low millions of variables.) *)
-let max_declared_vars = 16_777_215
-
-let fail_at ~line ~col fmt =
-  Format.kasprintf
-    (fun msg -> raise (Parse_error_at { line; col; msg }))
-    fmt
+let fail_at = Syntax.fail_at
 
 type token = Word of string | Num of int
 
@@ -98,9 +77,10 @@ let parse_tokens toks =
       :: rest ->
         if nvars < 0 then
           fail_at ~line:tline ~col:tcol "negative variable count";
-        if nvars > max_declared_vars then
+        if nvars > Syntax.max_declared_vars then
           fail_at ~line:tline ~col:tcol
-            "header declares %d variables (limit %d)" nvars max_declared_vars;
+            "header declares %d variables (limit %d)" nvars
+            Syntax.max_declared_vars;
         (nvars, nclauses, rest)
     | { tok = Word "p"; tline; tcol } :: _ ->
         fail_at ~line:tline ~col:tcol
@@ -149,47 +129,10 @@ let parse_tokens toks =
   let prefix = Prefix.of_blocks ~nvars blocks in
   Formula.make prefix matrix
 
-let parse_string_res s =
-  match parse_tokens (tokenize_lines (String.split_on_char '\n' s)) with
-  | f -> Ok f
-  | exception Parse_error_at e -> Error e
-  | exception Prefix.Ill_formed msg -> Error { line = 0; col = 0; msg }
-  | exception Stack_overflow ->
-      (* adversarial input must come back structured, never as a blown
-         stack escaping the loader *)
-      Error { line = 0; col = 0; msg = "input nested too deeply" }
-
-let parse_string s =
-  match parse_string_res s with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
-
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
-
-let parse_channel_res ic = parse_string_res (read_all ic)
-
-let parse_channel ic =
-  match parse_channel_res ic with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
-
-let parse_file_res path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse_channel_res ic)
-
-let parse_file path =
-  match parse_file_res path with
-  | Ok f -> f
-  | Error e -> raise (Parse_error (string_of_error e))
+let parse s =
+  Syntax.protect
+    (fun s -> parse_tokens (tokenize_lines (String.split_on_char '\n' s)))
+    s
 
 let print_blocks fmt blocks =
   List.iter

@@ -4,38 +4,8 @@
     variables of {!Qbf_core.Lit}.  The reader is lenient about clause
     counts and line breaks; quantifier blocks must precede the matrix. *)
 
-(** A positioned parse/validation failure.  [line]/[col] are 1-based;
-    [line = 0] means the position is unknown (e.g. a whole-formula
-    validation failure). *)
-type error = { line : int; col : int; msg : string }
-
-val string_of_error : error -> string
-
-(** Largest variable count a header may declare; beyond it the input is
-    rejected as corrupt rather than allocating per-variable structures
-    for it (a one-line memory bomb otherwise).  Shared with the
-    NQDIMACS reader. *)
-val max_declared_vars : int
-
-exception Parse_error of string
-(** Legacy string exception, raised by the non-[_res] entry points. *)
-
-exception Parse_error_at of error
-(** Internal positioned failure; the [_res] entry points catch it. *)
-
-(** Result-returning parsers (preferred; see {!Qbf_run.Run}).  All
-    parse and formula-validation failures are reported as [Error]. *)
-
-val parse_string_res : string -> (Qbf_core.Formula.t, error) result
-val parse_channel_res : in_channel -> (Qbf_core.Formula.t, error) result
-val parse_file_res : string -> (Qbf_core.Formula.t, error) result
-
-(** Exception shims for existing callers: raise {!Parse_error} with the
-    rendered error message. *)
-
-val parse_string : string -> Qbf_core.Formula.t
-val parse_channel : in_channel -> Qbf_core.Formula.t
-val parse_file : string -> Qbf_core.Formula.t
+val parse : string -> (Qbf_core.Formula.t, Syntax.error) result
+(** Syntax and validation failures come back as [Error] (see {!Load}). *)
 
 (** Printing requires a prenex prefix; raises [Invalid_argument]
     otherwise (convert first, e.g. with [Qbf_prenex.Prenexing]). *)

@@ -244,3 +244,9 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
+
+(* Typed field readers: [None] when the key is absent or holds a value
+   of another type. *)
+let member_int k j = Option.bind (member k j) to_int_opt
+let member_float k j = Option.bind (member k j) to_float_opt
+let member_string k j = Option.bind (member k j) to_string_opt

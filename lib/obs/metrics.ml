@@ -268,8 +268,6 @@ let snapshot_to_json (s : snapshot) =
    supervisor parses worker-shipped snapshots back before merging. *)
 
 let hist_of_json j =
-  let int k = Option.bind (Json.member k j) Json.to_int_opt in
-  let flo k = Option.bind (Json.member k j) Json.to_float_opt in
   let buckets =
     match Json.member "buckets" j with
     | Some (Json.List bs) ->
@@ -283,7 +281,13 @@ let hist_of_json j =
         |> Option.map List.rev
     | _ -> None
   in
-  match (int "count", int "sum", int "max", flo "mean", buckets) with
+  match
+    ( Json.member_int "count" j,
+      Json.member_int "sum" j,
+      Json.member_int "max" j,
+      Json.member_float "mean" j,
+      buckets )
+  with
   | Some count, Some sum, Some max_value, Some mean, Some buckets ->
       Ok { count; sum; max_value; mean; buckets }
   | _ -> Error "histogram snapshot missing count/sum/max/mean/buckets"

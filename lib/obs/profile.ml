@@ -168,10 +168,12 @@ let snapshot_of_json = function
           match acc with
           | Error _ as e -> e
           | Ok acc -> (
-              let str k = Option.bind (Json.member k sp) Json.to_string_opt in
-              let int k = Option.bind (Json.member k sp) Json.to_int_opt in
-              let flo k = Option.bind (Json.member k sp) Json.to_float_opt in
-              match (str "phase", int "calls", flo "wall_s", flo "cpu_s") with
+              match
+                ( Json.member_string "phase" sp,
+                  Json.member_int "calls" sp,
+                  Json.member_float "wall_s" sp,
+                  Json.member_float "cpu_s" sp )
+              with
               | Some phase, Some calls, Some wall_s, Some cpu_s ->
                   Ok ({ phase; calls; wall_s; cpu_s } :: acc)
               | _ -> Error "profile span missing phase/calls/wall_s/cpu_s"))

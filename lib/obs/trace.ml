@@ -246,11 +246,14 @@ let parse_line line =
   match Json.of_string_res line with
   | Error m -> Error m
   | Ok j -> (
-      let int k = Option.bind (Json.member k j) Json.to_int_opt in
-      let flo k = Option.bind (Json.member k j) Json.to_float_opt in
-      let str k = Option.bind (Json.member k j) Json.to_string_opt in
-      match (int "v", int "seq", flo "t", str "kind", int "dlevel",
-             int "plevel", int "arg")
+      match
+        ( Json.member_int "v" j,
+          Json.member_int "seq" j,
+          Json.member_float "t" j,
+          Json.member_string "kind" j,
+          Json.member_int "dlevel" j,
+          Json.member_int "plevel" j,
+          Json.member_int "arg" j )
       with
       | Some 1, Some seq, Some t, Some kind_s, Some dlevel, Some plevel,
         Some arg -> (

@@ -8,64 +8,9 @@
 
 module ST = Qbf_solver.Solver_types
 
-type format = Qdimacs | Nqdimacs
-
-(* Decide the format from the first non-comment, non-blank line: a
-   `p ncnf` header means NQDIMACS, anything else (including a missing or
-   malformed header, which the parser will then diagnose) is QDIMACS. *)
-let sniff_format text =
-  let rec scan = function
-    | [] -> Qdimacs
-    | line :: rest ->
-        let t = String.trim line in
-        if t = "" || t.[0] = 'c' then scan rest
-        else if String.length t >= 6 && String.sub t 0 6 = "p ncnf" then
-          Nqdimacs
-        else Qdimacs
-  in
-  scan (String.split_on_char '\n' text)
-
-let parse ~file ~format text =
-  match format with
-  | Qdimacs ->
-      Qbf_io.Qdimacs.parse_string_res text
-      |> Result.map_error (Run_error.of_qdimacs ~file)
-  | Nqdimacs ->
-      Qbf_io.Nqdimacs.parse_string_res text
-      |> Result.map_error (Run_error.of_nqdimacs ~file)
-
-let load_string ?(file = "<string>") ?format text =
-  let format =
-    match format with Some f -> f | None -> sniff_format text
-  in
-  parse ~file ~format text
-
-(* Read the whole file once; every failure mode (missing file,
-   directory, permission, truncated read) becomes a structured [Io]
-   error instead of an escaping exception. *)
-let load ?format path =
-  match
-    if Sys.file_exists path && Sys.is_directory path then
-      raise (Sys_error (path ^ ": is a directory"));
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> load_string ~file:path ?format text
-  | exception Sys_error msg ->
-      (* Sys_error messages already lead with the path; drop it so the
-         rendered diagnostic doesn't repeat it. *)
-      let msg =
-        let p = path ^ ": " in
-        let lp = String.length p in
-        if String.length msg > lp && String.sub msg 0 lp = p then
-          String.sub msg lp (String.length msg - lp)
-        else msg
-      in
-      Error (Run_error.Io { file = path; msg })
-  | exception End_of_file ->
-      Error (Run_error.Io { file = path; msg = "truncated read" })
+(* Loading is Qbf_io's: [Run_error.t] is [Qbf_io.Load.error]. *)
+let load = Qbf_io.Load.of_file
+let load_string = Qbf_io.Load.of_string
 
 (* ------------------------------------------------------------------ *)
 (* Budgeted, interruptible solving                                     *)

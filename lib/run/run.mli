@@ -8,24 +8,22 @@
 
 module ST = Qbf_solver.Solver_types
 
-type format = Qdimacs | Nqdimacs
-
-val sniff_format : string -> format
-(** Decide from the first non-comment line of the {e contents}: a
-    [p ncnf] header means NQDIMACS, anything else QDIMACS. *)
-
 val load :
-  ?format:format -> string -> (Qbf_core.Formula.t, Run_error.t) result
-(** Read and parse a file, sniffing the format unless given.  Missing or
-    unreadable files, malformed input, and invalid formulas all come
-    back as structured errors — nothing escapes as an exception. *)
+  ?format:Qbf_io.Load.format ->
+  string ->
+  (Qbf_core.Formula.t, Run_error.t) result
+(** {!Qbf_io.Load.of_file}: read and parse a file, sniffing the format
+    unless given.  Missing or unreadable files, malformed input, and
+    invalid formulas all come back as structured errors — nothing
+    escapes as an exception. *)
 
 val load_string :
   ?file:string ->
-  ?format:format ->
+  ?format:Qbf_io.Load.format ->
   string ->
   (Qbf_core.Formula.t, Run_error.t) result
-(** Same on in-memory contents; [file] only labels diagnostics. *)
+(** {!Qbf_io.Load.of_string}: the same on in-memory contents; [file]
+    only labels diagnostics. *)
 
 type stop_reason =
   | Timeout  (** the wall-clock deadline expired *)

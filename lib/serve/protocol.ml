@@ -250,10 +250,6 @@ let json_of_stats st =
         | Some p -> Qbf_obs.Profile.snapshot_to_json p );
     ]
 
-let member_int k j = Option.bind (Json.member k j) Json.to_int_opt
-let member_float k j = Option.bind (Json.member k j) Json.to_float_opt
-let member_string k j = Option.bind (Json.member k j) Json.to_string_opt
-
 let member_opt conv k j =
   match Json.member k j with
   | None | Some Json.Null -> Ok None
@@ -263,11 +259,11 @@ let member_opt conv k j =
       | None -> Error (Printf.sprintf "field %S ill-typed" k))
 
 let dispatch_of_json j =
-  match (member_int "id" j, member_string "config" j, member_int "attempt" j)
+  match (Json.member_int "id" j, Json.member_string "config" j, Json.member_int "attempt" j)
   with
   | Some id, Some d_config, Some d_attempt -> (
       let source =
-        match (member_string "path" j, member_string "inline" j) with
+        match (Json.member_string "path" j, Json.member_string "inline" j) with
         | Some p, _ -> Some (Qbf_run.Run.Path p)
         | None, Some text -> Some (Qbf_run.Run.Inline text)
         | None, None -> None
@@ -287,7 +283,7 @@ let dispatch_of_json j =
                   d_config;
                   d_attempt;
                   (* absent on frames from pre-certificate supervisors *)
-                  d_proof = member_string "proof" j;
+                  d_proof = Json.member_string "proof" j;
                 }
           | Error m, _, _ | _, Error m, _ | _, _, Error m -> Error m))
   | _ -> Error "job frame missing id/config/attempt"
@@ -298,13 +294,13 @@ type worker_msg =
   | Msg_stats of stats
 
 let stats_of_json j =
-  match (member_string "schema" j, member_int "v" j) with
+  match (Json.member_string "schema" j, Json.member_int "v" j) with
   | Some s, _ when s <> stats_schema ->
       Error (Printf.sprintf "stats frame schema %S, expected %S" s stats_schema)
   | _, Some v when v <> stats_version ->
       Error (Printf.sprintf "stats frame version %d, expected %d" v stats_version)
   | Some _, Some _ -> (
-      match (member_int "id" j, member_int "attempt" j) with
+      match (Json.member_int "id" j, Json.member_int "attempt" j) with
       | Some st_id, Some st_attempt -> (
           let final =
             match Json.member "final" j with
@@ -332,25 +328,25 @@ let stats_of_json j =
   | _ -> Error "stats frame missing schema/version"
 
 let worker_msg_of_json j =
-  match member_string "type" j with
+  match Json.member_string "type" j with
   | Some "hb" -> (
-      match (member_int "id" j, member_int "attempt" j) with
+      match (Json.member_int "id" j, Json.member_int "attempt" j) with
       | Some hb_id, Some hb_attempt ->
           (* nodes absent on frames from pre-telemetry workers *)
           let hb_nodes =
-            match member_int "nodes" j with Some n -> n | None -> 0
+            match Json.member_int "nodes" j with Some n -> n | None -> 0
           in
           Ok (Msg_heartbeat { hb_id; hb_attempt; hb_nodes })
       | _ -> Error "heartbeat frame missing id/attempt")
   | Some "stats" -> Result.map (fun st -> Msg_stats st) (stats_of_json j)
   | Some "result" -> (
       match
-        ( member_int "id" j,
-          member_int "attempt" j,
-          member_string "outcome" j,
-          member_float "time" j,
-          member_int "decisions" j,
-          member_int "nodes" j )
+        ( Json.member_int "id" j,
+          Json.member_int "attempt" j,
+          Json.member_string "outcome" j,
+          Json.member_float "time" j,
+          Json.member_int "decisions" j,
+          Json.member_int "nodes" j )
       with
       | Some a_id, Some a_attempt, Some o, Some a_time, Some a_decisions,
         Some a_nodes -> (
@@ -364,11 +360,11 @@ let worker_msg_of_json j =
                      a_attempt;
                      a_outcome;
                      a_time;
-                     a_stopped = member_string "stopped" j;
+                     a_stopped = Json.member_string "stopped" j;
                      a_decisions;
                      a_nodes;
-                     a_proof = member_string "proof" j;
-                     a_error = member_string "error" j;
+                     a_proof = Json.member_string "proof" j;
+                     a_error = Json.member_string "error" j;
                    }))
       | _ -> Error "result frame missing fields")
   | Some other -> Error (Printf.sprintf "unknown frame type %S" other)

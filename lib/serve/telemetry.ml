@@ -256,17 +256,15 @@ let tick ?(now = Unix.gettimeofday ()) t =
 (* ------------------------------------------------------------------ *)
 (* Validation (qtop --check, CI smoke, tests)                          *)
 
-let member_int k j = Option.bind (Json.member k j) Json.to_int_opt
-
 let check_json j =
   let counter name =
-    match Option.bind (Json.member "counters" j) (member_int name) with
+    match Option.bind (Json.member "counters" j) (Json.member_int name) with
     | Some n -> Ok n
     | None -> Error (Printf.sprintf "missing counter %S" name)
   in
   let ( let* ) = Result.bind in
   let* () =
-    match (Json.member "schema" j, member_int "v" j) with
+    match (Json.member "schema" j, Json.member_int "v" j) with
     | Some (Json.String s), Some v when s = schema && v = schema_version ->
         Ok ()
     | Some (Json.String s), Some v ->

@@ -122,9 +122,11 @@ let reduce_db s =
 
 let solve_state s =
   let o = s.S.obs in
+  (* Budgets and schedules count this call's leaves: a session's later
+     calls start where the earlier ones left the state's total. *)
   let leaves0 = leaves s in
   let restart_idx = ref 1 in
-  let leaves_at_restart = ref 0 in
+  let leaves_at_restart = ref leaves0 in
   let maybe_restart () =
     if
       s.S.config.search.restarts
@@ -150,7 +152,7 @@ let solve_state s =
   let reduce_interval =
     ref (max 1 s.S.config.search.db_reduce_interval)
   in
-  let next_reduce = ref !reduce_interval in
+  let next_reduce = ref (leaves0 + !reduce_interval) in
   let maybe_reduce () =
     if s.S.config.search.db_reduction && leaves s >= !next_reduce then begin
       reduce_db s;

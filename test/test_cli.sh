@@ -3,18 +3,20 @@
 # documented in README.md (and in each binary's man page) are part of
 # the scripting interface, and the trace sink must survive SIGTERM.
 #
-#   usage: test_cli.sh QUBE QDIAMETER QUBED HARD_INSTANCE
+#   usage: test_cli.sh QUBE QDIAMETER QUBED QCHECK_PROOF HARD_INSTANCE
 #
 # Exit-code contract under test:
-#   qube       10 true | 20 false | 30 unknown | 2 bad input
-#   qdiameter  0 ok | 2 bad input
-#   qubed      0 all decided | 2 input error | 3 some unknown | 4 internal
+#   qube          10 true | 20 false | 30 unknown | 2 bad input
+#   qdiameter     0 ok | 2 bad input
+#   qubed         0 all decided | 2 input error | 3 some unknown | 4 internal
+#   qcheck_proof  0 valid | 1 invalid | 2 usage or input error
 set -u
 
 QUBE=$1
 QDIAMETER=$2
 QUBED=$3
-HARD=$4
+QCHECK=$4
+HARD=$5
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
@@ -61,6 +63,23 @@ grep -q '"report":{[^}]*"stopped":"node-budget"' "$tmp/starved.json" \
   || fail "qube --json-status starved: report does not read stopped node-budget"
 expect 2 "qube malformed input" "$QUBE" "$tmp/bad.qdimacs"
 expect 2 "qube missing file" "$QUBE" "$tmp/does-not-exist.qdimacs"
+
+# ---- qcheck_proof --------------------------------------------------
+# The checker loads the formula with qube's loader: a malformed formula,
+# a missing one and a directory exit 2 with qube's diagnostic.
+"$QUBE" "$tmp/bad.qdimacs" 2> "$tmp/qube.err"
+[ "$(cat "$tmp/qube.err")" = "qube: $tmp/bad.qdimacs:1:15: missing 'p cnf' header" ] \
+  || fail "qube malformed input: unexpected diagnostic $(cat "$tmp/qube.err")"
+printf 'p qproof 1\n' > "$tmp/empty.qproof"
+for f in "$tmp/bad.qdimacs" "$tmp/does-not-exist.qdimacs" "$tmp"; do
+  "$QUBE" "$f" 2> "$tmp/qube.err"
+  "$QCHECK" "$f" "$tmp/empty.qproof" 2> "$tmp/qcheck.err"
+  got=$?
+  [ "$got" -eq 2 ] || fail "qcheck_proof on $f: expected exit 2, got $got"
+  [ -s "$tmp/qube.err" ] \
+    && [ "$(sed 's/^qcheck_proof: //' "$tmp/qcheck.err")" = "$(sed 's/^qube: //' "$tmp/qube.err")" ] \
+    || fail "qcheck_proof on $f: printed $(cat "$tmp/qcheck.err"), qube $(cat "$tmp/qube.err")"
+done
 
 # ---- qdiameter -----------------------------------------------------
 expect 2 "qdiameter unreadable model" "$QDIAMETER" "$tmp/bad.qdimacs"

@@ -245,7 +245,7 @@ let phase8_configs =
 let test_level0_conclusions () =
   List.iter
     (fun (seed, text) ->
-      let f = Qbf_io.Qdimacs.parse_string text in
+      let f = Util.load text in
       let expected = Eval.eval f in
       List.iter
         (fun (cname, config) ->
@@ -400,7 +400,7 @@ let test_reject_truncated () =
    intervals [1,3], [2,3] and [3,3].  The ten lines of [hand_base]
    declare the variables and register the six clauses as inputs 1-6. *)
 let hand_formula =
-  Qbf_io.Qdimacs.parse_string
+  Util.load
     "p cnf 3 6\ne 1 0\na 2 0\ne 3 0\n\
      1 2 3 0\n-1 -2 3 0\n-3 0\n-1 -3 0\n2 3 0\n-2 -3 0\n"
 
@@ -498,7 +498,7 @@ let test_hostile_variables () =
       ( "max_int declaration, trust mode", None,
         trust [ "v 1 e 1 1"; "v " ^ big ^ " e 1 1" ], 3,
         Printf.sprintf "declared variable %s exceeds the limit of %d" big
-          Qbf_io.Qdimacs.max_declared_vars );
+          Qbf_io.Syntax.max_declared_vars );
     ]
 
 let suite =

@@ -7,75 +7,129 @@ module ST = Qbf_solver.Solver_types
 module Run = Qbf_run.Run
 module Limits = Qbf_run.Limits
 module RE = Qbf_run.Run_error
+module Load = Qbf_io.Load
+module Checker = Qbf_check.Checker
+
+let with_file text k =
+  let path = Filename.temp_file "qbf_run_test" ".qdimacs" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      k path)
+
+(* The checker loads its formula with the same loader, so a formula
+   that [Run.load] rejects fails [check_against] at line 0 with
+   [Run_error.to_string]'s exact text.  The proof is never opened. *)
+let check_checker_agrees name path =
+  match Run.load path with
+  | Ok _ -> Alcotest.failf "%s: expected an error" name
+  | Error e -> (
+      match Checker.check_against ~formula_path:path "/nonexistent/proof" with
+      | Error { Checker.line = 0; msg } ->
+          Alcotest.(check string) (name ^ ": checker diagnostic")
+            (RE.to_string e) msg
+      | Error { line; msg } ->
+          Alcotest.failf "%s: checker failed at line %d: %s" name line msg
+      | Ok _ -> Alcotest.failf "%s: checker accepted" name)
 
 (* ------------------------------------------------------------------ *)
 (* Malformed-input corpus                                              *)
 
 let check_error name text pred =
-  match Run.load_string ~file:"corpus" text with
+  (match Run.load_string ~file:"corpus" text with
   | Ok _ -> Alcotest.failf "%s: expected an error" name
   | Error e ->
       if not (pred e) then
-        Alcotest.failf "%s: unexpected error %s" name (RE.to_string e)
+        Alcotest.failf "%s: unexpected error %s" name (RE.to_string e));
+  with_file text (check_checker_agrees name)
 
 let test_malformed_corpus () =
   (* truncated header *)
   check_error "truncated header" "p cnf\n" (function
-    | RE.Parse { line = 1; col = 1; _ } -> true
+    | Load.Parse { line = 1; col = 1; _ } -> true
     | _ -> false);
   (* empty file *)
   check_error "empty file" "" (function
-    | RE.Parse { line = 1; col = 1; msg; _ } ->
+    | Load.Parse { line = 1; col = 1; msg; _ } ->
         msg = "missing 'p cnf' header"
     | _ -> false);
-  (* out-of-range literal, with its exact position *)
-  check_error "out-of-range literal" "p cnf 2 1\ne 1 0\n1 5 0\n" (function
-    | RE.Parse { line = 3; col = 3; msg; _ } -> msg = "literal 5 out of range"
-    | _ -> false);
+  (* out-of-range literal, with its exact position and rendering *)
+  check_error "out-of-range literal" "p cnf 2 1\ne 1 0\n1 5 0\n" (fun e ->
+    RE.to_string e = "corpus:3:3: literal 5 out of range");
   (* unterminated clause *)
   check_error "unterminated clause" "p cnf 2 1\ne 1 0\n1 2\n" (function
-    | RE.Parse { msg; _ } -> msg = "unterminated clause"
+    | Load.Parse { msg; _ } -> msg = "unterminated clause"
     | _ -> false);
   (* unclosed s-expression in an NQDIMACS quantifier tree *)
   check_error "unclosed s-expression" "p ncnf 2 1\nt (e 1 (a 2\n1 2 0\n"
     (function
-    | RE.Parse { line = 2; msg; _ } ->
+    | Load.Parse { line = 2; msg; _ } ->
         msg = "unbalanced '(' in quantifier tree"
     | _ -> false);
   (* doubly bound variable: parses, fails formula validation *)
-  check_error "doubly bound" "p cnf 2 1\ne 1 1 0\n1 0\n" (function
-    | RE.Invalid { msg; _ } -> msg = "variable 0 bound twice"
-    | _ -> false);
+  check_error "doubly bound" "p cnf 2 1\ne 1 1 0\n1 0\n" (fun e ->
+    RE.to_string e = "corpus: variable 0 bound twice");
   (* exit code contract *)
   (match Run.load_string "p cnf\n" with
   | Error e -> Alcotest.(check int) "exit code" 2 (RE.exit_code e)
   | Ok _ -> Alcotest.fail "expected error")
 
 let test_load_file_errors () =
-  (match Run.load "/nonexistent/no-such.qdimacs" with
-  | Error (RE.Io { file; _ }) ->
-      Alcotest.(check string) "io file" "/nonexistent/no-such.qdimacs" file
-  | Error e -> Alcotest.failf "expected Io error, got %s" (RE.to_string e)
+  let missing = "/nonexistent/no-such.qdimacs" in
+  (match Run.load missing with
+  | Error e ->
+      Alcotest.(check string) "missing file" (missing ^ ": No such file or directory")
+        (RE.to_string e)
   | Ok _ -> Alcotest.fail "expected error");
-  let path = Filename.temp_file "qbf_run_test" ".qdimacs" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "p cnf 2 1\ne 1 0\n1 5 0\n";
-      close_out oc;
+  check_checker_agrees "missing file" missing;
+  let dir = Filename.get_temp_dir_name () in
+  (match Run.load dir with
+  | Error e ->
+      Alcotest.(check string) "directory" (dir ^ ": is a directory") (RE.to_string e)
+  | Ok _ -> Alcotest.fail "expected error");
+  check_checker_agrees "directory" dir;
+  with_file "p cnf 2 1\ne 1 0\n1 5 0\n" (fun path ->
       match Run.load path with
-      | Error (RE.Parse { line = 3; col = 3; _ }) -> ()
+      | Error (Load.Parse { line = 3; col = 3; _ }) -> ()
       | Error e -> Alcotest.failf "unexpected error %s" (RE.to_string e)
       | Ok _ -> Alcotest.fail "expected error")
 
+(* The rule [Load.sniff] implements without splitting the text: the
+   first line that trims to neither empty nor a comment decides. *)
+let sniff_by_lines text =
+  let rec scan = function
+    | [] -> Load.Qdimacs
+    | line :: rest ->
+        let t = String.trim line in
+        if t = "" || t.[0] = 'c' then scan rest
+        else if String.starts_with ~prefix:"p ncnf" t then Load.Nqdimacs
+        else Load.Qdimacs
+  in
+  scan (String.split_on_char '\n' text)
+
 let test_format_sniffing () =
-  Alcotest.(check bool)
-    "ncnf header" true
-    (Run.sniff_format "c x\n\np ncnf 3 1\nt (e 1)\n1 0\n" = Run.Nqdimacs);
-  Alcotest.(check bool)
-    "cnf header" true
-    (Run.sniff_format "p cnf 3 1\ne 1 0\n1 0\n" = Run.Qdimacs)
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" text) true (Load.sniff text = want))
+    [
+      ("c x\n\np ncnf 3 1\nt (e 1)\n1 0\n", Load.Nqdimacs);
+      ("p cnf 3 1\ne 1 0\n1 0\n", Load.Qdimacs);
+      ("", Load.Qdimacs);
+      ("c only a comment", Load.Qdimacs);
+      (" \t\012c indented\r\n\r\n  p ncnf 1 1\r\n", Load.Nqdimacs);
+      ("p ncnf", Load.Nqdimacs);
+      ("p ncn\nf", Load.Qdimacs);
+      ("x\np ncnf 1 1\n", Load.Qdimacs);
+    ]
+
+let gen_sniff_text =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 8)
+         (oneofl
+            [ " "; "\t"; "\r"; "\n"; "\012"; "c"; "c x\n"; "p ncnf"; "p cnf";
+              "p ncn"; "f"; "x"; "1 0\n" ])))
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines with an injectable clock                                  *)
@@ -213,6 +267,8 @@ let suite =
     Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
     Alcotest.test_case "load file errors" `Quick test_load_file_errors;
     Alcotest.test_case "format sniffing" `Quick test_format_sniffing;
+    Util.qcheck_case ~count:500 "sniffing follows the line rule"
+      gen_sniff_text (fun text -> Load.sniff text = sniff_by_lines text);
     Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
     Alcotest.test_case "amortized deadline" `Quick test_deadline_amortized;
     Alcotest.test_case "interrupt pre-tripped" `Quick test_interrupt_pretripped;

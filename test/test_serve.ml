@@ -136,7 +136,7 @@ let test_decoder_split_feed () =
   (match Protocol.next d with
   | Protocol.Frame j ->
       Alcotest.(check bool) "id survives" true
-        (Option.bind (Json.member "id" j) Json.to_int_opt = Some 9)
+        (Json.member_int "id" j = Some 9)
   | _ -> Alcotest.fail "expected a complete frame");
   Alcotest.(check int) "buffer drained" 0 (Protocol.decoder_pending d)
 
@@ -159,7 +159,7 @@ let test_decoder_garbage () =
 (* Canonical hashing                                                   *)
 
 let hash_of_text text =
-  Hash.formula (Qbf_io.Qdimacs.parse_string text)
+  Hash.formula (Util.load text)
 
 let test_hash_canonical () =
   let a = "p cnf 3 3\ne 1 2 0\na 3 0\n1 -2 0\n2 3 0\n-1 0\n" in

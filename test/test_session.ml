@@ -240,17 +240,18 @@ let test_stats_deltas () =
 (* [max_nodes] bounds each call on its own: after one call spends the
    budget, the next calls still search up to that many leaves.  dune
    copies the instance beside the test binary's directory. *)
-let test_node_budget_per_call () =
+let ncf_hard () =
   let path =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       "../examples/instances/ncf_hard.qdimacs"
   in
-  let f =
-    match Qbf_run.Run.load path with
-    | Ok f -> f
-    | Error e -> Alcotest.fail (Qbf_run.Run_error.to_string e)
-  in
+  match Qbf_run.Run.load path with
+  | Ok f -> f
+  | Error e -> Alcotest.fail (Qbf_run.Run_error.to_string e)
+
+let test_node_budget_per_call () =
+  let f = ncf_hard () in
   let config = ST.(default_config |> with_max_nodes (Some 50)) in
   let t = Session.of_formula ~config f in
   for call = 1 to 3 do
@@ -259,6 +260,27 @@ let test_node_budget_per_call () =
     Alcotest.check Util.outcome (name ^ " unknown") ST.Unknown r.ST.outcome;
     Alcotest.(check int) (name ^ " leaves") 50 (ST.nodes r.ST.stats);
     Alcotest.(check bool) (name ^ " decides") true (r.ST.stats.ST.decisions > 0)
+  done;
+  Session.dispose t
+
+(* Restarts and DB reduction are scheduled from each call's first leaf,
+   so equal calls of the same length restart equally often; counted from
+   the session's running total, every later call restarted and reduced
+   at its first leaf. *)
+let test_schedules_per_call () =
+  let config =
+    ST.(
+      default_config |> with_restarts true |> with_db_reduction true
+      |> with_db_reduce_interval 300
+      |> with_max_nodes (Some 400))
+  in
+  let t = Session.of_formula ~config (ncf_hard ()) in
+  let first = (Session.solve t).ST.stats.ST.restarts in
+  Alcotest.(check bool) "call 1 restarts" true (first > 0);
+  for call = 2 to 3 do
+    Alcotest.(check int)
+      (Printf.sprintf "call %d restarts" call)
+      first (Session.solve t).ST.stats.ST.restarts
   done;
   Session.dispose t
 
@@ -277,4 +299,6 @@ let suite =
     Alcotest.test_case "stats deltas" `Quick test_stats_deltas;
     Alcotest.test_case "node budget per call" `Quick
       test_node_budget_per_call;
+    Alcotest.test_case "restart and reduction schedules per call" `Quick
+      test_schedules_per_call;
   ]

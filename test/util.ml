@@ -49,6 +49,13 @@ let paper_formula_1_prenex () =
   in
   Formula.make prefix (Formula.matrix (paper_formula_1 ()))
 
+(* A formula from a text, through the one loader (format sniffed unless
+   given); a text it rejects fails the test with its diagnostic. *)
+let load ?format text =
+  match Qbf_io.Load.of_string ?format text with
+  | Ok f -> f
+  | Error e -> Alcotest.fail (Qbf_io.Load.error_to_string e)
+
 let solver_outcome_of_bool b =
   if b then Qbf_solver.Solver_types.True else Qbf_solver.Solver_types.False
 

@@ -12,7 +12,7 @@
       expansion oracle (Qbf_core.Eval);
 
    2. round-trip: the formula is printed to NQDIMACS (and QDIMACS when
-      prenex), re-read through the structured loader (Qbf_run.Run), and
+      prenex), re-read through the structured loader (Qbf_io.Load), and
       the reparse must agree with the oracle;
 
    3. robustness: the serialized text is mutated — truncated at a random
@@ -33,7 +33,7 @@
       on one) — and the outcome must match the oracle;
 
    6. loader crash-robustness: hostile byte mutations through both
-      loaders and the serving layer's frame decoder — structured
+      grammars and the serving layer's frame decoder — structured
       errors only, never an escaped exception;
 
    7. learned-DB reduction: aggressive reduce-and-compact cycles
@@ -52,7 +52,7 @@
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
-module Run = Qbf_run.Run
+module Load = Qbf_io.Load
 
 let configs =
   let matrix =
@@ -267,24 +267,24 @@ let () =
          configs;
        (* 2. round-trip through the structured loader *)
        let texts =
-         (Qbf_io.Nqdimacs.to_string f, Run.Nqdimacs)
+         (Qbf_io.Nqdimacs.to_string f, Load.Nqdimacs)
          ::
          (if Prefix.is_prenex (Formula.prefix f) then
-            [ (Qbf_io.Qdimacs.to_string f, Run.Qdimacs) ]
+            [ (Qbf_io.Qdimacs.to_string f, Load.Qdimacs) ]
           else [])
        in
        List.iter
          (fun (text, format) ->
-           match Run.load_string ~format text with
+           match Load.of_string ~format text with
            | Ok f' ->
                if Eval.eval f' <> expected then
                  complain seed "ROUNDTRIP value drift (%s)"
                    (match format with
-                   | Run.Qdimacs -> "qdimacs"
-                   | Run.Nqdimacs -> "nqdimacs")
+                   | Load.Qdimacs -> "qdimacs"
+                   | Load.Nqdimacs -> "nqdimacs")
            | Error e ->
                complain seed "ROUNDTRIP rejected: %s"
-                 (Qbf_run.Run_error.to_string e)
+                 (Load.error_to_string e)
            | exception e ->
                complain seed "ROUNDTRIP exception: %s" (Printexc.to_string e))
          texts;
@@ -294,7 +294,7 @@ let () =
          (fun (text, _) ->
            for _ = 0 to 3 do
              let mutated = mutate rng text in
-             match Run.load_string mutated with
+             match Load.of_string mutated with
              | Ok _ | Error _ -> ()
              | exception e ->
                  complain seed "MUTATION exception: %s on %S"
@@ -443,7 +443,7 @@ let () =
         Sys.remove path);
        (* 6. loader crash-robustness: hostile bytes — bit flips,
           CRLF/CR mangling, binary splices, mid-token truncation,
-          duplicated regions — through both loaders, both with format
+          duplicated regions — through both grammars, both with format
           sniffing and with each format forced; and random bytes
           through the serving layer's frame decoder.  Always Ok or a
           structured Error, never an escaped exception. *)
@@ -453,16 +453,16 @@ let () =
              let m = hostile rng text in
              List.iter
                (fun format ->
-                 match Run.load_string ?format m with
+                 match Load.of_string ?format m with
                  | Ok _ | Error _ -> ()
                  | exception e ->
                      complain seed "HOSTILE exception (%s): %s"
                        (match format with
                        | None -> "sniffed"
-                       | Some Run.Qdimacs -> "qdimacs"
-                       | Some Run.Nqdimacs -> "nqdimacs")
+                       | Some Load.Qdimacs -> "qdimacs"
+                       | Some Load.Nqdimacs -> "nqdimacs")
                        (Printexc.to_string e))
-               [ None; Some Run.Qdimacs; Some Run.Nqdimacs ]
+               [ None; Some Load.Qdimacs; Some Load.Nqdimacs ]
            done)
          texts;
        (let d = Qbf_serve.Protocol.decoder () in
@@ -486,12 +486,12 @@ let () =
            (fun text ->
              List.iter
                (fun format ->
-                 match Run.load_string ?format text with
+                 match Load.of_string ?format text with
                  | Ok _ | Error _ -> ()
                  | exception e ->
                      complain seed "ADVERSARIAL exception: %s on %d-byte input"
                        (Printexc.to_string e) (String.length text))
-               [ None; Some Run.Qdimacs; Some Run.Nqdimacs ])
+               [ None; Some Load.Qdimacs; Some Load.Nqdimacs ])
            adversarial_corpus;
        incr done_seeds;
        if !verbose && seed mod 100 = 0 then

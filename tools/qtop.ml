@@ -37,11 +37,8 @@ let read_json file =
       close_in_noerr ic;
       Json.of_string_res text
 
-let member_int k j = Option.bind (Json.member k j) Json.to_int_opt
-let member_float k j = Option.bind (Json.member k j) Json.to_float_opt
-
 let counter j name =
-  match Option.bind (Json.member "counters" j) (member_int name) with
+  match Option.bind (Json.member "counters" j) (Json.member_int name) with
   | Some n -> n
   | None -> 0
 
@@ -57,7 +54,7 @@ let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b
 
 let render j =
   let uptime =
-    match member_float "uptime_s" j with Some u -> u | None -> 0.
+    match Json.member_float "uptime_s" j with Some u -> u | None -> 0.
   in
   let unknown = counter j "jobs_unknown" and errored = counter j "jobs_errored" in
   let settled = counter j "jobs_decided" + unknown + errored in
@@ -102,7 +99,7 @@ let render j =
   let hits = counter j "cache_hits" and misses = counter j "cache_misses" in
   Printf.printf "cache     %d hits / %d misses (%.0f%% hit rate)\n" hits misses
     (pct hits (hits + misses));
-  (match member_int "hb_nodes" j with
+  (match Json.member_int "hb_nodes" j with
   | Some n when n > 0 ->
       Printf.printf "progress  %d nodes over %d heartbeats\n" n
         (counter j "heartbeats")

@@ -103,11 +103,14 @@ let telemetry_correlations file =
       | Ok j -> (
           match Json.member "correlations" j with
           | Some (Json.List cs) ->
-              let int k o = Option.bind (Json.member k o) Json.to_int_opt in
               Ok
                 (List.filter_map
                    (fun c ->
-                     match (int "id" c, int "attempt" c, int "pid" c) with
+                     match
+                       ( Json.member_int "id" c,
+                         Json.member_int "attempt" c,
+                         Json.member_int "pid" c )
+                     with
                      | Some id, Some at, Some pid -> Some (id, at, pid)
                      | _ -> None)
                    cs)
