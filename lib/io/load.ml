@@ -10,7 +10,8 @@ type error =
 
 let error_to_string = function
   | Io { file; msg } | Invalid { file; msg } -> Printf.sprintf "%s: %s" file msg
-  | Parse { file; line; col; msg } -> Printf.sprintf "%s:%d:%d: %s" file line col msg
+  | Parse { file; line; col; msg } ->
+      Printf.sprintf "%s:%d:%d: %s" file line col msg
 
 (* Walk the text in place up to the first line that is neither blank
    nor a comment (leading whitespace skipped, as [String.trim] does);

@@ -259,7 +259,10 @@ let member_opt conv k j =
       | None -> Error (Printf.sprintf "field %S ill-typed" k))
 
 let dispatch_of_json j =
-  match (Json.member_int "id" j, Json.member_string "config" j, Json.member_int "attempt" j)
+  match
+    ( Json.member_int "id" j,
+      Json.member_string "config" j,
+      Json.member_int "attempt" j )
   with
   | Some id, Some d_config, Some d_attempt -> (
       let source =

@@ -79,14 +79,16 @@ let test_load_file_errors () =
   let missing = "/nonexistent/no-such.qdimacs" in
   (match Run.load missing with
   | Error e ->
-      Alcotest.(check string) "missing file" (missing ^ ": No such file or directory")
+      Alcotest.(check string) "missing file"
+        (missing ^ ": No such file or directory")
         (RE.to_string e)
   | Ok _ -> Alcotest.fail "expected error");
   check_checker_agrees "missing file" missing;
   let dir = Filename.get_temp_dir_name () in
   (match Run.load dir with
   | Error e ->
-      Alcotest.(check string) "directory" (dir ^ ": is a directory") (RE.to_string e)
+      Alcotest.(check string) "directory" (dir ^ ": is a directory")
+        (RE.to_string e)
   | Ok _ -> Alcotest.fail "expected error");
   check_checker_agrees "directory" dir;
   with_file "p cnf 2 1\ne 1 0\n1 5 0\n" (fun path ->
@@ -111,7 +113,10 @@ let sniff_by_lines text =
 let test_format_sniffing () =
   List.iter
     (fun (text, want) ->
-      Alcotest.(check bool) (Printf.sprintf "%S" text) true (Load.sniff text = want))
+      Alcotest.(check bool)
+        (Printf.sprintf "%S" text)
+        true
+        (Load.sniff text = want))
     [
       ("c x\n\np ncnf 3 1\nt (e 1)\n1 0\n", Load.Nqdimacs);
       ("p cnf 3 1\ne 1 0\n1 0\n", Load.Qdimacs);
