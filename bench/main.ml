@@ -5,14 +5,13 @@
      bench/main.exe [section ...] [--timeout S] [--per-setting N] [--full]
 
    Sections: table1-ncf table1-fpv table1-dia table1-eval
-             fig3 fig4 fig5 fig6 fig7 dia-inc prop ablation
+             fig3 fig4 fig5 fig6 fig7 dia-inc ablation
              all (default: all)
 
    The dia-inc section compares the incremental diameter session
-   against the per-bound rebuild.  The prop section measures
-   propagation throughput on the DIA iteration plus learned-DB
-   reduction on vs off.  Every section prints its tables only; speed
-   claims rest on e2e_bench/, which records noise and host provenance.
+   against the per-bound rebuild.  Every section prints its tables
+   only; speed claims rest on e2e_bench/, which records noise and host
+   provenance.
 
    Absolute run times differ from the paper's 2006 testbed; the shapes
    (who wins, by what factor, how scaling behaves) are the reproduction
@@ -305,61 +304,6 @@ let dia_inc o =
           r.Qbf_bench.Dia_inc.model)
     results
 
-(* ---------- propagation ------------------------------------------------- *)
-
-(* Propagation throughput on the DIA iteration.  gray3 carries the
-   large learned database (thousands of learned cubes, each touched
-   through two watches), the smaller families show the cost on the
-   original clauses' counters. *)
-let prop o =
-  section "Propagation throughput on the DIA iteration (PO)";
-  let models =
-    List.map Qbf_models.Families.by_name
-      (if o.full then
-         [
-           "counter2"; "counter3"; "ring4"; "ring6"; "semaphore3"; "shift5";
-           "gray3";
-         ]
-       else [ "counter2"; "counter3"; "ring4"; "semaphore3"; "gray3" ])
-  in
-  let timeout_s = Float.max 60. (o.timeout *. 20.) in
-  let results =
-    List.map
-      (fun m ->
-        let r = Qbf_bench.Prop.run ~timeout_s m in
-        Printf.printf "%s: done (%.2fs)\n%!" r.Qbf_bench.Prop.model
-          r.Qbf_bench.Prop.time_s;
-        r)
-      models
-  in
-  print_endline
-    (Rep.render_table Qbf_bench.Prop.header
-       (List.map Qbf_bench.Prop.row_cells results));
-  (* DB-reduction on/off on the large-DB instance: the lifecycle
-     evidence — reduction must keep the diameter and [deleted] shows
-     the keep-fraction schedule actually bounding the database. *)
-  section "Learned-DB reduction: on vs off (gray3)";
-  let db_results =
-    List.map
-      (fun name ->
-        let m = Qbf_models.Families.by_name name in
-        let r = Qbf_bench.Prop.run_db ~timeout_s m in
-        Printf.printf "%s: done (reduce-on %.2fs, reduce-off %.2fs)\n%!"
-          name r.Qbf_bench.Prop.reduce_on.Qbf_bench.Prop.db_time_s
-          r.Qbf_bench.Prop.reduce_off.Qbf_bench.Prop.db_time_s;
-        r)
-      (if o.full then [ "gray3"; "counter3" ] else [ "gray3" ])
-  in
-  print_endline
-    (Rep.render_table Qbf_bench.Prop.db_header
-       (List.map Qbf_bench.Prop.db_row_cells db_results));
-  List.iter
-    (fun (r : Qbf_bench.Prop.db_result) ->
-      if not (Qbf_bench.Prop.db_agree r) then
-        Printf.printf "WARNING: %s: reduction on and off disagree!\n"
-          r.Qbf_bench.Prop.db_model)
-    db_results
-
 (* ---------- ablation ----------------------------------------------------- *)
 
 (* Which engine ingredients carry the DIA behaviour: learning, pures,
@@ -401,7 +345,6 @@ let sections =
     ("fig6", fig6);
     ("fig7", fig7);
     ("dia-inc", dia_inc);
-    ("prop", prop);
     ("ablation", ablation);
   ]
 

@@ -352,7 +352,7 @@ let profile_arg =
   Arg.(value & flag
     & info [ "profile" ]
         ~doc:"Time the parse, prenex, build, propagate, analyze and \
-              heuristic phases (wall and CPU) and print a profile \
+              heuristic phases (wall clock) and print a profile \
               table.")
 
 let proof_arg =

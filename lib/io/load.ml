@@ -45,16 +45,15 @@ let of_string ?(file = "<string>") ?format text =
   | Error { Syntax.line = 0; msg; _ } -> Error (Invalid { file; msg })
   | Error { Syntax.line; col; msg } -> Error (Parse { file; line; col; msg })
 
-(* Read the whole file once; every failure mode (missing file,
-   directory, permission, truncated read) becomes an [Io] error. *)
+(* Read the whole file once, to end of file, so a pipe or a terminal
+   ([/dev/stdin], a process substitution) reads like a regular file;
+   every failure mode (missing file, directory, permission) becomes an
+   [Io] error. *)
 let of_file ?format path =
   match
     if Sys.file_exists path && Sys.is_directory path then
       raise (Sys_error (path ^ ": is a directory"));
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+    In_channel.with_open_bin path In_channel.input_all
   with
   | text -> of_string ~file:path ?format text
   | exception Sys_error msg ->
@@ -68,4 +67,3 @@ let of_file ?format path =
         else msg
       in
       Error (Io { file = path; msg })
-  | exception End_of_file -> Error (Io { file = path; msg = "truncated read" })

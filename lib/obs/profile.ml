@@ -1,11 +1,15 @@
-(* Phase profiler: wall/CPU timing spans around the solver's phases.
+(* Phase profiler: wall-clock timing spans around the solver's phases.
 
    Spans are preallocated per-phase accumulators indexed by a small
-   enum, so [enter]/[leave] are two clock reads and a few stores — cheap
-   enough to wrap per-leaf engine calls when profiling is on, and never
-   executed when it is off (the engine guards on the collector flag).
-   Clocks are injectable for deterministic tests; the defaults are
-   [Unix.gettimeofday] (wall) and [Sys.time] (CPU). *)
+   enum, so [enter]/[leave] are one clock read and a few stores each —
+   cheap enough to wrap per-leaf engine calls when profiling is on, and
+   never executed when it is off (the engine guards on the collector
+   flag).  The clock is [Unix.gettimeofday], injectable for
+   deterministic tests.  There is no per-phase CPU time: a solve is
+   single-threaded, so its wall and CPU time agree, while a CPU clock
+   ([Sys.time], a getrusage system call) costs as much as eight
+   wall-clock reads and so inflates the phases made of many short
+   spans. *)
 
 type phase =
   | Parse (* reading + parsing the input *)
@@ -44,34 +48,24 @@ let num_phases = 8
 
 type t = {
   clock : unit -> float;
-  cpu : unit -> float;
   wall_total : float array;
-  cpu_total : float array;
   calls : int array;
   start_wall : float array;
-  start_cpu : float array;
 }
 
-let create ?(clock = Unix.gettimeofday) ?(cpu = Sys.time) () =
+let create ?(clock = Unix.gettimeofday) () =
   {
     clock;
-    cpu;
     wall_total = Array.make num_phases 0.;
-    cpu_total = Array.make num_phases 0.;
     calls = Array.make num_phases 0;
     start_wall = Array.make num_phases 0.;
-    start_cpu = Array.make num_phases 0.;
   }
 
-let enter t ph =
-  let i = phase_index ph in
-  t.start_wall.(i) <- t.clock ();
-  t.start_cpu.(i) <- t.cpu ()
+let enter t ph = t.start_wall.(phase_index ph) <- t.clock ()
 
 let leave t ph =
   let i = phase_index ph in
   t.wall_total.(i) <- t.wall_total.(i) +. (t.clock () -. t.start_wall.(i));
-  t.cpu_total.(i) <- t.cpu_total.(i) +. (t.cpu () -. t.start_cpu.(i));
   t.calls.(i) <- t.calls.(i) + 1
 
 (* Convenience span for cold paths (allocates a closure; do not use on
@@ -80,7 +74,7 @@ let span t ph f =
   enter t ph;
   Fun.protect ~finally:(fun () -> leave t ph) f
 
-type span_snapshot = { phase : string; calls : int; wall_s : float; cpu_s : float }
+type span_snapshot = { phase : string; calls : int; wall_s : float }
 type snapshot = span_snapshot list
 
 (* Phases that never ran are omitted: the profile of a plain solve does
@@ -96,7 +90,6 @@ let snapshot (t : t) =
             phase = phase_to_string ph;
             calls = t.calls.(i);
             wall_s = t.wall_total.(i);
-            cpu_s = t.cpu_total.(i);
           })
     all_phases
 
@@ -105,8 +98,7 @@ let snapshot (t : t) =
 let render_table (s : snapshot) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "%-10s %10s %12s %12s %7s\n" "phase" "calls" "wall(s)"
-       "cpu(s)" "wall%");
+    (Printf.sprintf "%-10s %10s %12s %7s\n" "phase" "calls" "wall(s)" "wall%");
   (* backtrack nests inside analyze, so it is excluded from the
      top-level partition AND from the inner sum (else the [other] row
      would double-count it against solve) *)
@@ -129,21 +121,19 @@ let render_table (s : snapshot) =
         if List.mem sp.phase nested then acc else acc +. sp.wall_s)
       0. s
   in
+  let pct w = if total > 0. then 100. *. w /. total else 0. in
   List.iter
     (fun sp ->
-      let pct = if total > 0. then 100. *. sp.wall_s /. total else 0. in
       Buffer.add_string buf
-        (Printf.sprintf "%-10s %10d %12.6f %12.6f %6.1f%%\n" sp.phase sp.calls
-           sp.wall_s sp.cpu_s pct))
+        (Printf.sprintf "%-10s %10d %12.6f %6.1f%%\n" sp.phase sp.calls
+           sp.wall_s (pct sp.wall_s)))
     s;
-  if solve_wall > 0. && inner_wall > 0. then
+  if solve_wall > 0. && inner_wall > 0. then begin
+    let other = Float.max 0. (solve_wall -. inner_wall) in
     Buffer.add_string buf
-      (Printf.sprintf "%-10s %10s %12.6f %12s %6.1f%%\n" "other" ""
-         (Float.max 0. (solve_wall -. inner_wall))
-         ""
-         (if total > 0. then
-            100. *. Float.max 0. (solve_wall -. inner_wall) /. total
-          else 0.));
+      (Printf.sprintf "%-10s %10s %12.6f %6.1f%%\n" "other" "" other
+         (pct other))
+  end;
   Buffer.contents buf
 
 let snapshot_to_json (s : snapshot) =
@@ -155,7 +145,6 @@ let snapshot_to_json (s : snapshot) =
              ("phase", Json.String sp.phase);
              ("calls", Json.Int sp.calls);
              ("wall_s", Json.Float sp.wall_s);
-             ("cpu_s", Json.Float sp.cpu_s);
            ])
        s)
 
@@ -171,12 +160,11 @@ let snapshot_of_json = function
               match
                 ( Json.member_string "phase" sp,
                   Json.member_int "calls" sp,
-                  Json.member_float "wall_s" sp,
-                  Json.member_float "cpu_s" sp )
+                  Json.member_float "wall_s" sp )
               with
-              | Some phase, Some calls, Some wall_s, Some cpu_s ->
-                  Ok ({ phase; calls; wall_s; cpu_s } :: acc)
-              | _ -> Error "profile span missing phase/calls/wall_s/cpu_s"))
+              | Some phase, Some calls, Some wall_s ->
+                  Ok ({ phase; calls; wall_s } :: acc)
+              | _ -> Error "profile span missing phase/calls/wall_s"))
         (Ok []) spans
       |> Result.map List.rev
   | _ -> Error "profile snapshot must be a list of spans"
@@ -197,11 +185,10 @@ let merge_snapshot (a : snapshot) (b : snapshot) =
               phase = name;
               calls = x.calls + y.calls;
               wall_s = x.wall_s +. y.wall_s;
-              cpu_s = x.cpu_s +. y.cpu_s;
             })
     all_phases
 
-(* Prometheus text: three counter families, each one # TYPE line and
+(* Prometheus text: two counter families, each one # TYPE line and
    one phase-labelled sample per phase. *)
 let snapshot_to_prometheus ~prefix (s : snapshot) =
   let buf = Buffer.create 512 in
@@ -212,6 +199,5 @@ let snapshot_to_prometheus ~prefix (s : snapshot) =
     [
       ("calls_total", fun sp -> float_of_int sp.calls);
       ("wall_seconds_total", fun sp -> sp.wall_s);
-      ("cpu_seconds_total", fun sp -> sp.cpu_s);
     ];
   Buffer.contents buf

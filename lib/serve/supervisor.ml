@@ -454,9 +454,21 @@ let attempt_lost t (d : Protocol.dispatch) cls =
    error is a permanent Input failure that must not burn worker
    retries, and the loaded formula gives the memoization key.  Workers
    re-load from the source themselves (cheaper than shipping the
-   formula, and it keeps the wire format trivial). *)
+   formula, and it keeps the wire format trivial), and the certificate
+   re-check loads it again.  So a path that cannot be read twice (a
+   FIFO, a terminal, a socket) is an input error, found by [stat]
+   before anything opens it: opening a FIFO with no writer blocks.  The
+   loader names a missing file or a directory. *)
+let load_job = function
+  | Run.Path p as source -> (
+      match (Unix.stat p).Unix.st_kind with
+      | Unix.S_REG | Unix.S_DIR | (exception Unix.Unix_error _) ->
+          Run.load_source source
+      | _ -> Error (Qbf_io.Load.Io { file = p; msg = "not a regular file" }))
+  | source -> Run.load_source source
+
 let ingest t j =
-  match Run.load_source j.job.Protocol.source with
+  match load_job j.job.Protocol.source with
   | Error e ->
       record_failure t j (Failure.Input (Qbf_run.Run_error.to_string e));
       finish t j

@@ -32,7 +32,7 @@ module Profile = Qbf_obs.Profile
 module Failure = Qbf_run.Failure
 
 let schema = "qubed-telemetry"
-let schema_version = 2
+let schema_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Registry state                                                      *)

@@ -36,6 +36,10 @@ expect() {
   [ "$got" -eq "$want" ] || fail "$desc: expected exit $want, got $got"
 }
 
+# A command that could block (a worker starved of descriptors, a FIFO)
+# runs under a time limit where the host has one.
+if command -v timeout >/dev/null 2>&1; then guard="timeout 60"; else guard=""; fi
+
 cat > "$tmp/true.qdimacs" <<EOF
 p cnf 2 2
 e 1 2 0
@@ -64,6 +68,14 @@ grep -q '"report":{[^}]*"stopped":"node-budget"' "$tmp/starved.json" \
 expect 2 "qube malformed input" "$QUBE" "$tmp/bad.qdimacs"
 expect 2 "qube missing file" "$QUBE" "$tmp/does-not-exist.qdimacs"
 
+# A path that cannot seek (a pipe) is read to end of file.
+cat "$tmp/true.qdimacs" | "$QUBE" /dev/stdin >/dev/null 2>&1
+got=$?
+[ "$got" -eq 10 ] || fail "qube on a piped true instance: expected exit 10, got $got"
+cat "$tmp/bad.qdimacs" | "$QUBE" /dev/stdin >/dev/null 2>&1
+got=$?
+[ "$got" -eq 2 ] || fail "qube on piped malformed input: expected exit 2, got $got"
+
 # ---- qcheck_proof --------------------------------------------------
 # The checker loads the formula with qube's loader: a malformed formula,
 # a missing one and a directory exit 2 with qube's diagnostic.
@@ -82,6 +94,12 @@ for f in "$tmp/bad.qdimacs" "$tmp/does-not-exist.qdimacs" "$tmp"; do
   [ -n "$qube_diag" ] && [ "$qcheck_diag" = "$qube_diag" ] \
     || fail "qcheck_proof on $f: printed '$qcheck_diag', qube '$qube_diag'"
 done
+
+# The checker reads a piped formula too, and accepts its certificate.
+expect 10 "qube --proof true instance" "$QUBE" --proof "$tmp/true.qproof" "$tmp/true.qdimacs"
+cat "$tmp/true.qdimacs" | "$QCHECK" /dev/stdin "$tmp/true.qproof" >/dev/null 2>&1
+got=$?
+[ "$got" -eq 0 ] || fail "qcheck_proof on a piped formula: expected exit 0, got $got"
 
 # ---- qdiameter -----------------------------------------------------
 expect 2 "qdiameter unreadable model" "$QDIAMETER" "$tmp/bad.qdimacs"
@@ -105,6 +123,15 @@ expect 3 "qubed starved job stays unknown" \
 grep -q '"type":"summary".*"unknown":1,"errors":0' "$tmp/starved.out" \
   || fail "qubed starved job: summary does not read unknown 1, errors 0"
 
+# Workers and the certificate re-check open a job's path again, so a
+# path that is not a regular file (here a FIFO no one writes) is an
+# input error, found before anything opens it.
+if command -v mkfifo >/dev/null 2>&1; then
+  mkfifo "$tmp/fifo.qdimacs"
+  echo "$tmp/fifo.qdimacs" > "$tmp/fifobatch.jsonl"
+  expect 2 "qubed batch naming a FIFO" $guard "$QUBED" --workers 1 "$tmp/fifobatch.jsonl"
+fi
+
 expect 2 "qubed missing batch file" "$QUBED" "$tmp/no-such-batch.jsonl"
 expect 2 "qubed with no workers" "$QUBED" --workers 0 "$tmp/batch.jsonl"
 
@@ -112,7 +139,6 @@ expect 2 "qubed with no workers" "$QUBED" --workers 0 "$tmp/batch.jsonl"
 # With fds 3-9 closed and a limit of 4 descriptors, qubed can read its
 # batch but not open a worker's pipes.  Each job must fail its one round
 # as a `spawn` failure and the batch must end with exit 3, not hang.
-if command -v timeout >/dev/null 2>&1; then guard="timeout 60"; else guard=""; fi
 (
   exec 3>&- 4>&- 5>&- 6>&- 7>&- 8>&- 9>&-
   ulimit -n 4

@@ -10,12 +10,12 @@ module Trace = Qbf_obs.Trace
 module Profile = Qbf_obs.Profile
 module Json = Qbf_obs.Json
 
-(* A deterministic clock: every read advances by [step]. *)
-let fake_clock ?(step = 0.5) () =
+(* A deterministic clock: every read advances by half a second. *)
+let fake_clock () =
   let t = ref 0. in
   fun () ->
     let v = !t in
-    t := v +. step;
+    t := v +. 0.5;
     v
 
 let counter s name =
@@ -138,27 +138,6 @@ let test_json_roundtrip () =
   | Error m -> Alcotest.failf "json round-trip failed: %s" m
 
 (* ------------------------------------------------------------------ *)
-(* Phase profiler                                                      *)
-
-let test_profile_clocks () =
-  (* wall advances 1.0 per read, cpu 0.25: one enter/leave pair spans
-     exactly one read gap of each clock *)
-  let p =
-    Profile.create ~clock:(fake_clock ~step:1.0 ()) ~cpu:(fake_clock ~step:0.25 ()) ()
-  in
-  Profile.enter p Profile.Propagate;
-  Profile.leave p Profile.Propagate;
-  Profile.enter p Profile.Propagate;
-  Profile.leave p Profile.Propagate;
-  match Profile.snapshot p with
-  | [ sp ] ->
-      Alcotest.(check string) "phase" "propagate" sp.Profile.phase;
-      Alcotest.(check int) "calls" 2 sp.Profile.calls;
-      Alcotest.(check (float 1e-9)) "wall" 2.0 sp.Profile.wall_s;
-      Alcotest.(check (float 1e-9)) "cpu" 0.5 sp.Profile.cpu_s
-  | s -> Alcotest.failf "expected one span, got %d" (List.length s)
-
-(* ------------------------------------------------------------------ *)
 (* Solver-run contracts                                                *)
 
 let formulas () =
@@ -204,6 +183,35 @@ let fallback_formula () =
   match Qbf_run.Run.load path with
   | Ok f -> f
   | Error e -> Alcotest.fail (Qbf_run.Run_error.to_string e)
+
+(* The profile a real solve produces, under a clock that counts its
+   reads: each span edge reads it once, and the engine's spans nest the
+   way [Profile.render_table]'s [other] row assumes.  With restarts off
+   and no session, every backtrack happens inside an analysis. *)
+let test_profile_clocks () =
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    float_of_int !reads
+  in
+  let obs = Obs.make ~profile:(Profile.create ~clock ()) () in
+  ignore
+    (Qbf_solver.Engine.solve
+       ~config:ST.(default_config |> with_obs (Some obs))
+       (fallback_formula ()));
+  let spans = Profile.snapshot obs.Obs.profile in
+  let wall name =
+    match List.find_opt (fun sp -> sp.Profile.phase = name) spans with
+    | Some sp -> sp.Profile.wall_s
+    | None -> Alcotest.failf "no %s span" name
+  in
+  Alcotest.(check int) "one read per span edge"
+    (2 * List.fold_left (fun n sp -> n + sp.Profile.calls) 0 spans)
+    !reads;
+  Alcotest.(check bool) "propagate + analyze + heuristic <= solve" true
+    (wall "propagate" +. wall "analyze" +. wall "heuristic" <= wall "solve");
+  Alcotest.(check bool) "backtrack <= analyze" true
+    (wall "backtrack" <= wall "analyze")
 
 let test_metrics_invariants () =
   List.iter

@@ -100,12 +100,12 @@ let test_merge_json_roundtrip () =
 
 let test_profile_merge () =
   let s1 =
-    [ { Profile.phase = "solve"; calls = 2; wall_s = 1.0; cpu_s = 0.5 };
-      { Profile.phase = "propagate"; calls = 10; wall_s = 0.25; cpu_s = 0.25 } ]
+    [ { Profile.phase = "solve"; calls = 2; wall_s = 1.0 };
+      { Profile.phase = "propagate"; calls = 10; wall_s = 0.25 } ]
   in
   let s2 =
-    [ { Profile.phase = "parse"; calls = 1; wall_s = 0.125; cpu_s = 0.125 };
-      { Profile.phase = "solve"; calls = 1; wall_s = 0.5; cpu_s = 0.25 } ]
+    [ { Profile.phase = "parse"; calls = 1; wall_s = 0.125 };
+      { Profile.phase = "solve"; calls = 1; wall_s = 0.5 } ]
   in
   let m12 = Profile.merge_snapshot s1 s2 in
   let m21 = Profile.merge_snapshot s2 s1 in
@@ -144,8 +144,8 @@ let test_prometheus_grammar () =
   Telemetry.on_dispatch t ~id:0 ~attempt:1 ~pid:42 ~queued_s:0.003;
   Telemetry.on_stats t ~id:0 ~attempt:1 ~pid:42 (Some s)
     (Some
-       [ { Profile.phase = "propagate"; calls = 3; wall_s = 0.05; cpu_s = 0.05 };
-         { Profile.phase = "solve"; calls = 1; wall_s = 0.1; cpu_s = 0.1 } ]);
+       [ { Profile.phase = "propagate"; calls = 3; wall_s = 0.05 };
+         { Profile.phase = "solve"; calls = 1; wall_s = 0.1 } ]);
   Telemetry.on_job_done t `Decided ~latency_s:0.05;
   Telemetry.on_reap t ~dying:false (Unix.WEXITED 0);
   let text = Telemetry.to_prometheus t in
@@ -189,7 +189,7 @@ let test_stats_frame_roundtrip () =
       st_final = true;
       st_metrics = Some (random_snapshot 12);
       st_profile =
-        Some [ { Profile.phase = "solve"; calls = 1; wall_s = 0.5; cpu_s = 0.4 } ];
+        Some [ { Profile.phase = "solve"; calls = 1; wall_s = 0.5 } ];
     }
   in
   match Protocol.worker_msg_of_json (Protocol.json_of_stats st) with
@@ -375,9 +375,7 @@ let golden_registry () =
     st.ST.learned_clauses <- 1;
     Metrics.snapshot ~counters:(ST.counters st) m
   in
-  let span phase calls wall_s =
-    { Profile.phase; calls; wall_s; cpu_s = wall_s /. 2. }
-  in
+  let span phase calls wall_s = { Profile.phase; calls; wall_s } in
   Telemetry.incr t "jobs_submitted";
   Telemetry.incr t "jobs_submitted";
   Telemetry.incr t "spawns";
