@@ -6,8 +6,8 @@
    never executed when it is off (the engine guards on the collector
    flag).  The clock is [Unix.gettimeofday], injectable for
    deterministic tests.  There is no per-phase CPU time: a solve is
-   single-threaded, so its wall and CPU time agree, while a CPU clock
-   ([Sys.time], a getrusage system call) costs as much as eight
+   single-threaded, so its wall and CPU time agree, while reading a
+   CPU clock is a getrusage system call that costs as much as eight
    wall-clock reads and so inflates the phases made of many short
    spans. *)
 

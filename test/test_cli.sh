@@ -36,6 +36,18 @@ expect() {
   [ "$got" -eq "$want" ] || fail "$desc: expected exit $want, got $got"
 }
 
+# expect_piped CODE DESC FILE CMD... : pipe FILE into CMD, demand exit
+# code CODE
+expect_piped() {
+  want=$1
+  desc=$2
+  input=$3
+  shift 3
+  cat "$input" | "$@" >/dev/null 2>&1
+  got=$?
+  [ "$got" -eq "$want" ] || fail "$desc: expected exit $want, got $got"
+}
+
 # A command that could block (a worker starved of descriptors, a FIFO)
 # runs under a time limit where the host has one.
 if command -v timeout >/dev/null 2>&1; then guard="timeout 60"; else guard=""; fi
@@ -69,12 +81,8 @@ expect 2 "qube malformed input" "$QUBE" "$tmp/bad.qdimacs"
 expect 2 "qube missing file" "$QUBE" "$tmp/does-not-exist.qdimacs"
 
 # A path that cannot seek (a pipe) is read to end of file.
-cat "$tmp/true.qdimacs" | "$QUBE" /dev/stdin >/dev/null 2>&1
-got=$?
-[ "$got" -eq 10 ] || fail "qube on a piped true instance: expected exit 10, got $got"
-cat "$tmp/bad.qdimacs" | "$QUBE" /dev/stdin >/dev/null 2>&1
-got=$?
-[ "$got" -eq 2 ] || fail "qube on piped malformed input: expected exit 2, got $got"
+expect_piped 10 "qube on a piped true instance" "$tmp/true.qdimacs" "$QUBE" /dev/stdin
+expect_piped 2 "qube on piped malformed input" "$tmp/bad.qdimacs" "$QUBE" /dev/stdin
 
 # ---- qcheck_proof --------------------------------------------------
 # The checker loads the formula with qube's loader: a malformed formula,
@@ -97,9 +105,8 @@ done
 
 # The checker reads a piped formula too, and accepts its certificate.
 expect 10 "qube --proof true instance" "$QUBE" --proof "$tmp/true.qproof" "$tmp/true.qdimacs"
-cat "$tmp/true.qdimacs" | "$QCHECK" /dev/stdin "$tmp/true.qproof" >/dev/null 2>&1
-got=$?
-[ "$got" -eq 0 ] || fail "qcheck_proof on a piped formula: expected exit 0, got $got"
+expect_piped 0 "qcheck_proof on a piped formula" "$tmp/true.qdimacs" \
+  "$QCHECK" /dev/stdin "$tmp/true.qproof"
 
 # ---- qdiameter -----------------------------------------------------
 expect 2 "qdiameter unreadable model" "$QDIAMETER" "$tmp/bad.qdimacs"
