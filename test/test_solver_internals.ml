@@ -24,9 +24,22 @@ let test_vec () =
   Alcotest.(check (list int)) "to_list" [ 0; 1; 2 ] (V.to_list (
     let w = V.create 0 in
     V.push w 0; V.push w 1; V.push w 2; w));
-  (match V.get v 100 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected out-of-bounds failure")
+  Alcotest.check_raises "get past length" (Invalid_argument "Vec.get")
+    (fun () -> ignore (V.get v (V.length v)))
+
+(* The default build is optimised (dune-workspace), and it must keep the
+   checks compiled into the libraries: an assertion, which -noassert
+   would drop (a literal [assert false] would not show it: -noassert
+   keeps those), and an implicit array bounds check, which -unsafe would
+   drop.  [test_vec] checks Vec's own range check. *)
+let test_checks_kept () =
+  (match Lit.of_var (-1) with
+  | exception Assert_failure _ -> ()
+  | _ -> Alcotest.fail "Lit.of_var (-1) passed its assertion");
+  Alcotest.check_raises "implicit bounds check"
+    (Invalid_argument "index out of bounds") (fun () ->
+      let module Db = Qbf_solver.Constraint_db in
+      ignore (Db.frame (Db.create ()) (-1)))
 
 let test_stats_consistency () =
   let rng = Qbf_gen.Rng.create 123 in
@@ -508,6 +521,8 @@ let prop_kernels_match_oracle seed =
 let suite =
   [
     Alcotest.test_case "vec container" `Quick test_vec;
+    Alcotest.test_case "optimised build keeps its checks" `Quick
+      test_checks_kept;
     Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
     Alcotest.test_case "learning = chrono on structured suite" `Quick
       test_learning_equivalence_on_suite;
