@@ -1,6 +1,6 @@
 (* qube: command-line QBF solver.
 
-   Reads QDIMACS (prenex) or NQDIMACS (non-prenex; see Qbf_io.Nqdimacs)
+   Reads QDIMACS (prenex) or NQDIMACS (non-prenex; see Qbf_io.Load)
    and decides the formula with the search engine of the paper, in
    total-order (QuBE(TO)-style) or partial-order (QuBE(PO)-style) mode,
    through the resilient run harness (Qbf_run): structured input

@@ -97,7 +97,7 @@ let clause_key c =
 (* Formula mode sizes the tables once, from the formula.  Trust mode
    starts empty and grows them on [v] records, up to the largest
    variable count the QDIMACS loader accepts. *)
-let max_trust_var = Qbf_io.Syntax.max_declared_vars
+let max_trust_var = Qbf_io.Load.max_declared_vars
 
 let resize st n =
   let grow a = Array.append a (Array.make (n - Array.length a) 0) in

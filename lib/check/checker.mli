@@ -11,7 +11,7 @@
     requires the whole matrix to be registered.  Without it (trust
     mode) declarations and inputs are taken at face value — only for
     white-box tests of incremental sessions, which no single input file
-    describes — up to {!Qbf_io.Syntax.max_declared_vars} variables.
+    describes — up to {!Qbf_io.Load.max_declared_vars} variables.
 
     Each record costs O(n log n) in its literal count, except an axiom
     term, which is also checked against every alive input clause. *)

@@ -1,4 +1,5 @@
-(** NQDIMACS: a QDIMACS-like exchange format for non-prenex QBFs.
+(** NQDIMACS writer: a QDIMACS-like exchange format for non-prenex
+    QBFs; {!Load} is the reader.
 
     {v
     c comment
@@ -7,12 +8,9 @@
     1 -3 0
     v}
 
-    The [t] entry is the quantifier forest as s-expressions with 1-based
+    The [t] line is the quantifier forest as s-expressions with 1-based
     variables; variables not bound anywhere are implicitly outermost
     existentials.  Clauses are DIMACS-style, 0-terminated. *)
-
-val parse : string -> (Qbf_core.Formula.t, Syntax.error) result
-(** Syntax and validation failures come back as [Error] (see {!Load}). *)
 
 val print : Format.formatter -> Qbf_core.Formula.t -> unit
 val to_string : Qbf_core.Formula.t -> string

@@ -171,8 +171,8 @@ let source_label = function Path p -> p | Inline _ -> "<inline>"
 
 (* The one loader for a serving job's instance, used by the worker
    before it solves and by the supervisor when it ingests a job and
-   when it re-checks a certificate.  The format is sniffed; [Inline]
-   text gets a synthetic diagnostic label. *)
+   when it re-checks a certificate.  [Inline] text gets a synthetic
+   diagnostic label. *)
 let load_source = function
   | Path p -> load p
   | Inline text -> load_string ~file:"<inline>" text

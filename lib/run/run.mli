@@ -8,20 +8,14 @@
 
 module ST = Qbf_solver.Solver_types
 
-val load :
-  ?format:Qbf_io.Load.format ->
-  string ->
-  (Qbf_core.Formula.t, Run_error.t) result
-(** {!Qbf_io.Load.of_file}: read and parse a file, sniffing the format
-    unless given.  Missing or unreadable files, malformed input, and
-    invalid formulas all come back as structured errors — nothing
-    escapes as an exception. *)
+val load : string -> (Qbf_core.Formula.t, Run_error.t) result
+(** {!Qbf_io.Load.of_file}: read and parse a file, in either format.
+    Missing or unreadable files, malformed input, and invalid formulas
+    all come back as structured errors — nothing escapes as an
+    exception. *)
 
 val load_string :
-  ?file:string ->
-  ?format:Qbf_io.Load.format ->
-  string ->
-  (Qbf_core.Formula.t, Run_error.t) result
+  ?file:string -> string -> (Qbf_core.Formula.t, Run_error.t) result
 (** {!Qbf_io.Load.of_string}: the same on in-memory contents; [file]
     only labels diagnostics. *)
 
@@ -82,6 +76,6 @@ val source_label : source -> string
 (** The path, or ["<inline>"] — used in diagnostics and reports. *)
 
 val load_source : source -> (Qbf_core.Formula.t, Run_error.t) result
-(** {!load} a [Path] (format sniffed), or {!load_string} an [Inline]
-    text labelled ["<inline>"] in diagnostics: the one loader of the
-    serving layer's worker and supervisor. *)
+(** {!load} a [Path], or {!load_string} an [Inline] text labelled
+    ["<inline>"] in diagnostics: the one loader of the serving layer's
+    worker and supervisor. *)

@@ -68,6 +68,14 @@ EOF
 
 printf 'this is not a qbf\n' > "$tmp/bad.qdimacs"
 
+# the same matrix under a quantifier tree, true
+cat > "$tmp/true.nqdimacs" <<EOF
+p ncnf 2 2
+t (a 1 (e 2))
+1 2 0
+-1 -2 0
+EOF
+
 # ---- qube ----------------------------------------------------------
 expect 10 "qube true instance" "$QUBE" "$tmp/true.qdimacs"
 expect 20 "qube false instance" "$QUBE" "$tmp/false.qdimacs"
@@ -82,6 +90,7 @@ expect 2 "qube missing file" "$QUBE" "$tmp/does-not-exist.qdimacs"
 
 # A path that cannot seek (a pipe) is read to end of file.
 expect_piped 10 "qube on a piped true instance" "$tmp/true.qdimacs" "$QUBE" /dev/stdin
+expect_piped 10 "qube on a piped NQDIMACS instance" "$tmp/true.nqdimacs" "$QUBE" /dev/stdin
 expect_piped 2 "qube on piped malformed input" "$tmp/bad.qdimacs" "$QUBE" /dev/stdin
 
 # ---- qcheck_proof --------------------------------------------------

@@ -7,7 +7,7 @@ let test_qdimacs_parse () =
   let text =
     "c example\np cnf 4 3\ne 1 2 0\na 3 0\ne 4 0\n1 -3 4 0\n-1 2 0\n-2\n3 0\n"
   in
-  let f = Util.load ~format:Load.Qdimacs text in
+  let f = Util.load text in
   Alcotest.(check int) "nvars" 4 (Formula.nvars f);
   Alcotest.(check int) "nclauses" 3 (Formula.num_clauses f);
   let p = Formula.prefix f in
@@ -17,12 +17,12 @@ let test_qdimacs_parse () =
   Alcotest.(check bool) "1 < 3" true (Prefix.precedes p 0 2);
   Alcotest.(check bool) "3 < 4" true (Prefix.precedes p 2 3)
 
+let bad s =
+  match Load.of_string s with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "expected parse error on %S" s
+
 let test_qdimacs_errors () =
-  let bad s =
-    match Qbf_io.Qdimacs.parse s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "expected parse error on %S" s
-  in
   bad "e 1 0\n1 0\n";
   (* no header *)
   bad "p cnf 2 1\ne 1 0\n1 5 0\n";
@@ -31,7 +31,7 @@ let test_qdimacs_errors () =
 
 let test_qdimacs_free_vars () =
   (* Unquantified variables are outermost existentials. *)
-  let f = Util.load ~format:Load.Qdimacs "p cnf 2 1\na 2 0\n1 2 0\n" in
+  let f = Util.load "p cnf 2 1\na 2 0\n1 2 0\n" in
   let p = Formula.prefix f in
   Alcotest.(check bool) "free exists" true (Prefix.is_exists p 0);
   Alcotest.(check bool) "free outer" true (Prefix.precedes p 0 1)
@@ -56,7 +56,7 @@ let same_formula f f' =
 let test_nqdimacs_example () =
   let f = Util.paper_formula_1 () in
   let text = Qbf_io.Nqdimacs.to_string f in
-  let f' = Util.load ~format:Load.Nqdimacs text in
+  let f' = Util.load text in
   Alcotest.(check int) "nvars" (Formula.nvars f) (Formula.nvars f');
   Alcotest.(check int) "nclauses" (Formula.num_clauses f)
     (Formula.num_clauses f');
@@ -64,7 +64,7 @@ let test_nqdimacs_example () =
   (* a diameter QBF: a quantifier tree with auxiliary gate variables,
      too large for the naive evaluator *)
   let g = Qbf_models.Diameter.phi (Qbf_models.Families.counter ~bits:2) ~n:1 in
-  let g' = Util.load ~format:Load.Nqdimacs (Qbf_io.Nqdimacs.to_string g) in
+  let g' = Util.load (Qbf_io.Nqdimacs.to_string g) in
   Alcotest.(check bool) "counter2 phi_1 same formula" true (same_formula g g');
   let solve f = (Qbf_solver.Engine.solve f).Qbf_solver.Solver_types.outcome in
   Alcotest.check Util.outcome "counter2 phi_1 same value" (solve g) (solve g')
@@ -82,7 +82,7 @@ let gen_params =
 
 let prop_nqdimacs_roundtrip input =
   let f = make_tree_formula input in
-  same_formula f (Util.load ~format:Load.Nqdimacs (Qbf_io.Nqdimacs.to_string f))
+  same_formula f (Util.load (Qbf_io.Nqdimacs.to_string f))
 
 let prop_qdimacs_roundtrip (seed, nvars, nclauses) =
   let rng = Qbf_gen.Rng.create seed in
@@ -90,24 +90,16 @@ let prop_qdimacs_roundtrip (seed, nvars, nclauses) =
     Qbf_gen.Randqbf.prenex rng ~nvars ~levels:(1 + (seed mod 4)) ~nclauses
       ~len:3 ~min_exists:0 ()
   in
-  same_formula f (Util.load ~format:Load.Qdimacs (Qbf_io.Qdimacs.to_string f))
+  same_formula f (Util.load (Qbf_io.Qdimacs.to_string f))
 
 let test_nqdimacs_errors () =
-  let bad s =
-    match Qbf_io.Nqdimacs.parse s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "expected parse error on %S" s
-  in
   bad "p ncnf 2 1\nt (e 1 (a 2)\n1 2 0\n";
-  (* unbalanced tree: the dangling '(' swallows the rest; detected as an
-     unterminated clause or bad token *)
+  (* unbalanced tree: it ends at the clause line, one ')' short *)
   bad "p ncnf 2 1\nt (x 1 2)\n1 0\n";
   (* unknown quantifier *)
   bad "p ncnf 2 1\nt (e 1 5)\n1 0\n";
   (* variable out of range in tree *)
-  bad "p ncnf 2 1\nt (e 1 2)\n1 2\n";
-  (* unterminated clause *)
-  bad "p cnf 2 1\ne 1 0\n1 0\n" (* wrong header for this parser *)
+  bad "p ncnf 2 1\nt (e 1 2)\n1 2\n" (* unterminated clause *)
 
 let test_print_requires_prenex () =
   let f = Util.paper_formula_1 () in

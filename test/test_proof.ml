@@ -498,7 +498,7 @@ let test_hostile_variables () =
       ( "max_int declaration, trust mode", None,
         trust [ "v 1 e 1 1"; "v " ^ big ^ " e 1 1" ], 3,
         Printf.sprintf "declared variable %s exceeds the limit of %d" big
-          Qbf_io.Syntax.max_declared_vars );
+          Qbf_io.Load.max_declared_vars );
     ]
 
 let suite =

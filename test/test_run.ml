@@ -97,44 +97,83 @@ let test_load_file_errors () =
       | Error e -> Alcotest.failf "unexpected error %s" (RE.to_string e)
       | Ok _ -> Alcotest.fail "expected error")
 
-(* The rule [Load.sniff] implements without splitting the text: the
-   first line that trims to neither empty nor a comment decides. *)
-let sniff_by_lines text =
-  let rec scan = function
-    | [] -> Load.Qdimacs
-    | line :: rest ->
-        let t = String.trim line in
-        if t = "" || t.[0] = 'c' then scan rest
-        else if String.starts_with ~prefix:"p ncnf" t then Load.Nqdimacs
-        else Load.Qdimacs
+(* What a text loads to: the formula printed as NQDIMACS (which prints
+   any prefix, so equal texts mean equal formulas), or the diagnostic. *)
+let loaded text =
+  match Load.of_string text with
+  | Ok f -> Ok (Qbf_io.Nqdimacs.to_string f)
+  | Error e -> Error (Load.error_to_string e)
+
+let test_which_texts_load () =
+  let check text want =
+    Alcotest.(check (result string string)) (Printf.sprintf "%S" text) want
+      (loaded text)
   in
-  scan (String.split_on_char '\n' text)
+  let q = "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n-1 -2 0\n"
+  and n = "p ncnf 2 2\nt (e 1 (a 2))\n1 2 0\n-1 -2 0\n" in
+  let loads text canon = check text (loaded canon)
+  and rejects text msg = check text (Error ("<string>:" ^ msg)) in
+  Alcotest.(check bool) "both load" true
+    (Result.is_ok (loaded q) && Result.is_ok (loaded n));
+  (* text before the header is skipped, in both formats *)
+  loads ("x\n" ^ q) q;
+  loads ("x y\n" ^ n) n;
+  (* tabs and form feeds separate tokens as spaces do *)
+  loads "p\tcnf 2\0122\ne\t1 0\na 2\0120\n1\t2 0\n-1\012-2 0\n" q;
+  loads "p\tncnf 2\0122\nt\t(e\0121 (a\t2))\n1\t2 0\n-1\012-2 0\n" n;
+  (* the header may span lines *)
+  loads "p cnf\n2\n2 e 1 0\na 2 0\n1 2 0\n-1 -2 0\n" q;
+  loads "p ncnf\n 2 2\nt (e 1 (a 2))\n1 2 0\n-1 -2 0\n" n;
+  (* the clause count must be an integer, in both formats *)
+  let malformed = "1:1: malformed header (expected 'p cnf <nvars> <nclauses>')" in
+  rejects "p cnf 2 x\ne 1 0\n1 0\n" malformed;
+  rejects "p ncnf 2 x\nt (e 1)\n1 0\n" malformed;
+  (* tree lines start with 't' (dropped) or '(', and comments may come
+     between them *)
+  loads "p ncnf 2 2\n(e 1\nc x\n  t(a 2)\nt )\n1 2 0\n-1 -2 0\n" n;
+  (* the tree ends at the first line that starts otherwise *)
+  rejects "p ncnf 2 2\nt (e 1\n1 2 0\n(a 2))\n-1 -2 0\n"
+    "2:6: unbalanced '(' in quantifier tree";
+  rejects "p ncnf 2 2\nt (e 1)\n1 2 0\nt (a 2)\n-1 -2 0\n"
+    "4:1: unexpected word \"t\" in matrix";
+  (* so does a tree on the header's own line *)
+  rejects "p ncnf 2 2 (e 1 (a 2))\n1 2 0\n-1 -2 0\n"
+    "1:12: unexpected word \"(e\" in matrix"
 
-let test_format_sniffing () =
-  List.iter
-    (fun (text, want) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S" text)
-        true
-        (Load.sniff text = want))
-    [
-      ("c x\n\np ncnf 3 1\nt (e 1)\n1 0\n", Load.Nqdimacs);
-      ("p cnf 3 1\ne 1 0\n1 0\n", Load.Qdimacs);
-      ("", Load.Qdimacs);
-      ("c only a comment", Load.Qdimacs);
-      (" \t\012c indented\r\n\r\n  p ncnf 1 1\r\n", Load.Nqdimacs);
-      ("p ncnf", Load.Nqdimacs);
-      ("p ncn\nf", Load.Qdimacs);
-      ("x\np ncnf 1 1\n", Load.Qdimacs);
-    ]
-
-let gen_sniff_text =
+(* Blank and comment lines before the header change nothing but the
+   line numbers of diagnostics; the texts are (possibly truncated)
+   printed formulas, so every one holds a token. *)
+let gen_lead_and_text =
   QCheck2.Gen.(
-    map (String.concat "")
-      (list_size (int_bound 8)
-         (oneofl
-            [ " "; "\t"; "\r"; "\n"; "\012"; "c"; "c x\n"; "p ncnf"; "p cnf";
-              "p ncn"; "f"; "x"; "1 0\n" ])))
+    let* lead =
+      map (String.concat "")
+        (list_size (int_bound 6)
+           (oneofl [ "\n"; " \t\r\n"; "\012\n"; "c\n"; "c p cnf 9 9\n"; "  c x\n" ]))
+    in
+    let* seed = int_range 0 100_000 in
+    let* tree = bool in
+    let rng = Qbf_gen.Rng.create seed in
+    let text =
+      if tree then
+        Qbf_io.Nqdimacs.to_string
+          (Qbf_gen.Randqbf.tree rng ~nvars:6 ~nclauses:5 ~len:3 ())
+      else
+        Qbf_io.Qdimacs.to_string
+          (Qbf_gen.Randqbf.prenex rng ~nvars:6 ~levels:3 ~nclauses:5 ~len:3
+             ~min_exists:0 ())
+    in
+    let* cut = int_range 1 (String.length text) in
+    return (lead, String.sub text 0 cut))
+
+let prop_lead_changes_nothing (lead, text) =
+  let shift = List.length (String.split_on_char '\n' lead) - 1 in
+  match (Load.of_string (lead ^ text), Load.of_string text) with
+  | Ok f, Ok g ->
+      Qbf_io.Nqdimacs.to_string f = Qbf_io.Nqdimacs.to_string g
+  | Error (Load.Parse e), Error (Load.Parse e') ->
+      e.line = e'.line + shift && e.col = e'.col && e.msg = e'.msg
+  | Error e, Error e' -> e = e'
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines with an injectable clock                                  *)
@@ -271,9 +310,9 @@ let suite =
   [
     Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
     Alcotest.test_case "load file errors" `Quick test_load_file_errors;
-    Alcotest.test_case "format sniffing" `Quick test_format_sniffing;
-    Util.qcheck_case ~count:500 "sniffing follows the line rule"
-      gen_sniff_text (fun text -> Load.sniff text = sniff_by_lines text);
+    Alcotest.test_case "which texts load" `Quick test_which_texts_load;
+    Util.qcheck_case ~count:500 "leading comments change nothing"
+      gen_lead_and_text prop_lead_changes_nothing;
     Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
     Alcotest.test_case "amortized deadline" `Quick test_deadline_amortized;
     Alcotest.test_case "interrupt pre-tripped" `Quick test_interrupt_pretripped;

@@ -49,10 +49,10 @@ let paper_formula_1_prenex () =
   in
   Formula.make prefix (Formula.matrix (paper_formula_1 ()))
 
-(* A formula from a text, through the one loader (format sniffed unless
-   given); a text it rejects fails the test with its diagnostic. *)
-let load ?format text =
-  match Qbf_io.Load.of_string ?format text with
+(* A formula from a text, through the one loader; a text it rejects
+   fails the test with its diagnostic. *)
+let load text =
+  match Qbf_io.Load.of_string text with
   | Ok f -> f
   | Error e -> Alcotest.fail (Qbf_io.Load.error_to_string e)
 

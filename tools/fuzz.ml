@@ -13,7 +13,9 @@
 
    2. round-trip: the formula is printed to NQDIMACS (and QDIMACS when
       prenex), re-read through the structured loader (Qbf_io.Load), and
-      the reparse must agree with the oracle;
+      the reparse must agree with the oracle; a prenex formula's two
+      texts must load to the same variable count, prefix forest and
+      matrix;
 
    3. robustness: the serialized text is mutated — truncated at a random
       offset, a random line dropped, random bytes corrupted — and fed
@@ -32,9 +34,9 @@
       solution the counters and watches failed to announce (raising
       on one) — and the outcome must match the oracle;
 
-   6. loader crash-robustness: hostile byte mutations through both
-      grammars and the serving layer's frame decoder — structured
-      errors only, never an escaped exception;
+   6. loader crash-robustness: hostile byte mutations through the
+      loader and the serving layer's frame decoder — structured errors
+      only, never an escaped exception;
 
    7. learned-DB reduction: aggressive reduce-and-compact cycles
       (tiny interval, near-zero keep fraction) vs. the reduction-off
@@ -265,29 +267,43 @@ let () =
                | Some b -> string_of_bool b
                | None -> "unknown"))
          configs;
-       (* 2. round-trip through the structured loader *)
+       (* 2. round-trip through the loader: each text must load to a
+          formula the oracle agrees with, and a prenex formula's two
+          texts to the same variable count, prefix forest and matrix *)
        let texts =
-         (Qbf_io.Nqdimacs.to_string f, Load.Nqdimacs)
+         (Qbf_io.Nqdimacs.to_string f, "nqdimacs")
          ::
          (if Prefix.is_prenex (Formula.prefix f) then
-            [ (Qbf_io.Qdimacs.to_string f, Load.Qdimacs) ]
+            [ (Qbf_io.Qdimacs.to_string f, "qdimacs") ]
           else [])
        in
-       List.iter
-         (fun (text, format) ->
-           match Load.of_string ~format text with
-           | Ok f' ->
-               if Eval.eval f' <> expected then
-                 complain seed "ROUNDTRIP value drift (%s)"
-                   (match format with
-                   | Load.Qdimacs -> "qdimacs"
-                   | Load.Nqdimacs -> "nqdimacs")
-           | Error e ->
-               complain seed "ROUNDTRIP rejected: %s"
-                 (Load.error_to_string e)
-           | exception e ->
-               complain seed "ROUNDTRIP exception: %s" (Printexc.to_string e))
-         texts;
+       let loaded =
+         List.filter_map
+           (fun (text, name) ->
+             match Load.of_string text with
+             | Ok f' ->
+                 if Eval.eval f' <> expected then
+                   complain seed "ROUNDTRIP value drift (%s)" name;
+                 Some f'
+             | Error e ->
+                 complain seed "ROUNDTRIP rejected: %s"
+                   (Load.error_to_string e);
+                 None
+             | exception e ->
+                 complain seed "ROUNDTRIP exception: %s"
+                   (Printexc.to_string e);
+                 None)
+           texts
+       in
+       (match loaded with
+       | [ n; q ] ->
+           if
+             Formula.nvars n <> Formula.nvars q
+             || Prefix.roots (Formula.prefix n)
+                <> Prefix.roots (Formula.prefix q)
+             || not (List.equal Clause.equal (Formula.matrix n) (Formula.matrix q))
+           then complain seed "ROUNDTRIP qdimacs and nqdimacs differ"
+       | _ -> ());
        (* 3. robustness: mutated/truncated inputs must yield Ok or a
           structured Error, never an escaped exception *)
        List.iter
@@ -443,26 +459,17 @@ let () =
         Sys.remove path);
        (* 6. loader crash-robustness: hostile bytes — bit flips,
           CRLF/CR mangling, binary splices, mid-token truncation,
-          duplicated regions — through both grammars, both with format
-          sniffing and with each format forced; and random bytes
+          duplicated regions — through the loader; and random bytes
           through the serving layer's frame decoder.  Always Ok or a
           structured Error, never an escaped exception. *)
        List.iter
          (fun (text, _) ->
            for _ = 0 to 5 do
              let m = hostile rng text in
-             List.iter
-               (fun format ->
-                 match Load.of_string ?format m with
-                 | Ok _ | Error _ -> ()
-                 | exception e ->
-                     complain seed "HOSTILE exception (%s): %s"
-                       (match format with
-                       | None -> "sniffed"
-                       | Some Load.Qdimacs -> "qdimacs"
-                       | Some Load.Nqdimacs -> "nqdimacs")
-                       (Printexc.to_string e))
-               [ None; Some Load.Qdimacs; Some Load.Nqdimacs ]
+             match Load.of_string m with
+             | Ok _ | Error _ -> ()
+             | exception e ->
+                 complain seed "HOSTILE exception: %s" (Printexc.to_string e)
            done)
          texts;
        (let d = Qbf_serve.Protocol.decoder () in
@@ -484,14 +491,11 @@ let () =
        if seed = !seed_base then
          List.iter
            (fun text ->
-             List.iter
-               (fun format ->
-                 match Load.of_string ?format text with
-                 | Ok _ | Error _ -> ()
-                 | exception e ->
-                     complain seed "ADVERSARIAL exception: %s on %d-byte input"
-                       (Printexc.to_string e) (String.length text))
-               [ None; Some Load.Qdimacs; Some Load.Nqdimacs ])
+             match Load.of_string text with
+             | Ok _ | Error _ -> ()
+             | exception e ->
+                 complain seed "ADVERSARIAL exception: %s on %d-byte input"
+                   (Printexc.to_string e) (String.length text))
            adversarial_corpus;
        incr done_seeds;
        if !verbose && seed mod 100 = 0 then
