@@ -28,7 +28,8 @@ val is_contradictory_clause : Prefix.t -> Clause.t -> bool
     only on such inputs.  Learned constraints are exempt. *)
 val path_consistent : t -> bool
 
-(** Remove tautological clauses, apply universal reduction, deduplicate. *)
+(** Remove tautological clauses, apply universal reduction, deduplicate;
+    the clauses come back sorted by {!Clause.compare}. *)
 val simplify : t -> t
 
 val pp : Format.formatter -> t -> unit

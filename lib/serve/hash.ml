@@ -6,7 +6,7 @@
    literal order inside a clause (Clause.t is already sorted), duplicate
    or tautological clauses, universal literals a reduction removes —
    should hit the same cache line, so the hash is computed over
-   [Formula.simplify] output with the clause list sorted, and over the
+   [Formula.simplify] output (whose clause list is sorted), and over the
    normalised quantifier forest with each block's variable list sorted
    (block-internal order carries no semantics).
 
@@ -42,12 +42,11 @@ let formula f =
   let prefix = Formula.prefix f in
   let h = mix_int fnv_offset (Prefix.nvars prefix) in
   let h = List.fold_left mix_tree h (Prefix.roots prefix) in
-  let matrix = List.sort Clause.compare (Formula.matrix f) in
   let h =
     List.fold_left
       (fun h c ->
         let h = Clause.fold (fun h l -> mix_int h (Lit.to_dimacs l)) h c in
         mix h 0x3b (* ';' between clauses *))
-      h matrix
+      h (Formula.matrix f)
   in
   Printf.sprintf "%016Lx" h

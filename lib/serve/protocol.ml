@@ -204,8 +204,7 @@ let json_of_answer a =
     ]
 
 (* Heartbeats carry a progress delta: nodes searched since the last
-   beat, so the supervisor can tell slow progress from a true wedge.
-   [nodes] is optional on decode for compatibility with old workers. *)
+   beat, so the supervisor can tell slow progress from a true wedge. *)
 let json_of_heartbeat ~id ~attempt ~nodes =
   Json.Obj
     [ ("type", Json.String "hb"); ("id", Json.Int id);
@@ -226,7 +225,6 @@ let stats_version = 1
 type stats = {
   st_id : int;
   st_attempt : int;
-  st_final : bool; (* true on the pre-result snapshot, false on periodic *)
   st_metrics : Qbf_obs.Metrics.snapshot option;
   st_profile : Qbf_obs.Profile.snapshot option;
 }
@@ -239,7 +237,6 @@ let json_of_stats st =
       ("v", Json.Int stats_version);
       ("id", Json.Int st.st_id);
       ("attempt", Json.Int st.st_attempt);
-      ("final", Json.Bool st.st_final);
       ( "metrics",
         match st.st_metrics with
         | None -> Json.Null
@@ -305,11 +302,6 @@ let stats_of_json j =
   | Some _, Some _ -> (
       match (Json.member_int "id" j, Json.member_int "attempt" j) with
       | Some st_id, Some st_attempt -> (
-          let final =
-            match Json.member "final" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false
-          in
           let metrics =
             match Json.member "metrics" j with
             | None | Some Json.Null -> Ok None
@@ -324,7 +316,7 @@ let stats_of_json j =
           in
           match (metrics, profile) with
           | Ok st_metrics, Ok st_profile ->
-              Ok { st_id; st_attempt; st_final = final; st_metrics; st_profile }
+              Ok { st_id; st_attempt; st_metrics; st_profile }
           | Error m, _ | _, Error m ->
               Error (Printf.sprintf "stats frame: %s" m))
       | _ -> Error "stats frame missing id/attempt")
@@ -333,14 +325,14 @@ let stats_of_json j =
 let worker_msg_of_json j =
   match Json.member_string "type" j with
   | Some "hb" -> (
-      match (Json.member_int "id" j, Json.member_int "attempt" j) with
-      | Some hb_id, Some hb_attempt ->
-          (* nodes absent on frames from pre-telemetry workers *)
-          let hb_nodes =
-            match Json.member_int "nodes" j with Some n -> n | None -> 0
-          in
+      match
+        ( Json.member_int "id" j,
+          Json.member_int "attempt" j,
+          Json.member_int "nodes" j )
+      with
+      | Some hb_id, Some hb_attempt, Some hb_nodes ->
           Ok (Msg_heartbeat { hb_id; hb_attempt; hb_nodes })
-      | _ -> Error "heartbeat frame missing id/attempt")
+      | _ -> Error "heartbeat frame missing id/attempt/nodes")
   | Some "stats" -> Result.map (fun st -> Msg_stats st) (stats_of_json j)
   | Some "result" -> (
       match

@@ -142,14 +142,13 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     | [] -> 0
     | c -> List.assoc "conflicts" c + List.assoc "solutions" c
   in
-  let send_stats ~final =
+  let send_stats () =
     if stats then
       Protocol.write_frame out
         (Protocol.json_of_stats
            {
              Protocol.st_id = id;
              st_attempt = attempt;
-             st_final = final;
              st_metrics =
                Some
                  (Qbf_obs.Metrics.snapshot
@@ -180,7 +179,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
         (Protocol.json_of_heartbeat ~id ~attempt ~nodes:delta);
       if stats && now -. !last_stats >= stats_interval_s then begin
         last_stats := now;
-        send_stats ~final:false
+        send_stats ()
       end
     end;
     false
@@ -220,7 +219,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
   in
   (* final snapshot first, so a supervisor processing the answer frame
      already holds this attempt's complete statistics *)
-  send_stats ~final:true;
+  send_stats ();
   answer
 
 (* Entry point of the forked child.  Never returns: exits 0 on a clean

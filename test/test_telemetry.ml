@@ -186,7 +186,6 @@ let test_stats_frame_roundtrip () =
     {
       Protocol.st_id = 11;
       st_attempt = 2;
-      st_final = true;
       st_metrics = Some (random_snapshot 12);
       st_profile =
         Some [ { Profile.phase = "solve"; calls = 1; wall_s = 0.5 } ];
@@ -196,7 +195,6 @@ let test_stats_frame_roundtrip () =
   | Ok (Protocol.Msg_stats st') ->
       Alcotest.(check int) "id" 11 st'.Protocol.st_id;
       Alcotest.(check int) "attempt" 2 st'.Protocol.st_attempt;
-      Alcotest.(check bool) "final" true st'.Protocol.st_final;
       (match (st.Protocol.st_metrics, st'.Protocol.st_metrics) with
       | Some a, Some b -> check_eq_snapshot "metrics" a b
       | _ -> Alcotest.fail "metrics lost");
@@ -218,18 +216,24 @@ let test_stats_frame_version_gate () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "version mismatch accepted"
 
-let test_heartbeat_backward_compat () =
-  (* a pre-telemetry heartbeat has no nodes field: it must still decode *)
-  let old =
+let test_heartbeat_without_nodes () =
+  (* workers run the supervisor's own binary, so a heartbeat without its
+     node count comes from no older peer: it is garbage *)
+  (match
+     Protocol.worker_msg_of_json
+       (Protocol.json_of_heartbeat ~id:3 ~attempt:1 ~nodes:7)
+   with
+  | Ok (Protocol.Msg_heartbeat { hb_id = 3; hb_attempt = 1; hb_nodes = 7 }) ->
+      ()
+  | _ -> Alcotest.fail "heartbeat did not roundtrip");
+  let no_nodes =
     Json.Obj
       [ ("type", Json.String "hb"); ("id", Json.Int 3);
         ("attempt", Json.Int 1) ]
   in
-  match Protocol.worker_msg_of_json old with
-  | Ok (Protocol.Msg_heartbeat { hb_id = 3; hb_attempt = 1; hb_nodes = 0 }) ->
-      ()
-  | Ok _ -> Alcotest.fail "old heartbeat decoded wrong"
-  | Error m -> Alcotest.failf "old heartbeat rejected: %s" m
+  match Protocol.worker_msg_of_json no_nodes with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "heartbeat without nodes accepted"
 
 (* ------------------------------------------------------------------ *)
 (* End to end: fault-injected batches account for every worker *)
@@ -426,8 +430,8 @@ let suite =
       test_stats_frame_roundtrip;
     Alcotest.test_case "stats version gate" `Quick
       test_stats_frame_version_gate;
-    Alcotest.test_case "heartbeat backward compat" `Quick
-      test_heartbeat_backward_compat;
+    Alcotest.test_case "heartbeat without nodes rejected" `Quick
+      test_heartbeat_without_nodes;
     Alcotest.test_case "clean batch reconciles" `Quick
       test_clean_batch_reconciles;
     Alcotest.test_case "faulty batch reconciles" `Quick
