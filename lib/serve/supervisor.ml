@@ -106,7 +106,9 @@ type report = {
   r_id : int;
   r_label : string; (* path or "<inline>" *)
   r_outcome : ST.outcome;
-  r_time : float; (* solve time of the winning attempt (0 if cached) *)
+  r_time : float;
+      (* solve time of the winning attempt; without one, summed over the
+         job's inconclusive attempts (so 0 for a cache hit that waited) *)
   r_wall : float; (* first-dispatch-to-answer wall time *)
   r_config : string; (* winning label, or "cache" / "" *)
   r_attempts : int; (* dispatches sent for this job *)
@@ -115,7 +117,7 @@ type report = {
   r_stopped : string option;
   r_error : string option;
   r_cached : bool;
-  r_decisions : int;
+  r_decisions : int; (* summed like [r_time] *)
   r_nodes : int;
   r_proof : string option;
       (* certificate path of the winning attempt, present only after it
@@ -209,6 +211,10 @@ type jrec = {
   mutable first_dispatch : float option;
   mutable ready_since : float; (* when the job last became dispatchable *)
   mutable result : report option;
+  (* summed over the job's inconclusive answers, for [base_report] *)
+  mutable spent_time : float;
+  mutable spent_decisions : int;
+  mutable spent_nodes : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +331,7 @@ let base_report j =
     r_id = j.job.Protocol.id;
     r_label = Run.source_label j.job.Protocol.source;
     r_outcome = ST.Unknown;
-    r_time = 0.;
+    r_time = j.spent_time;
     r_wall = wall_of j;
     r_config = "";
     r_attempts = j.attempts;
@@ -334,8 +340,8 @@ let base_report j =
     r_stopped = None;
     r_error = None;
     r_cached = false;
-    r_decisions = 0;
-    r_nodes = 0;
+    r_decisions = j.spent_decisions;
+    r_nodes = j.spent_nodes;
     r_proof = None;
     r_attempt_stats = [];
   }
@@ -678,6 +684,9 @@ let handle_answer t w (a : Protocol.answer) =
                         r_proof;
                       })
             | None, ST.Unknown ->
+                j.spent_time <- j.spent_time +. a.Protocol.a_time;
+                j.spent_decisions <- j.spent_decisions + a.Protocol.a_decisions;
+                j.spent_nodes <- j.spent_nodes + a.Protocol.a_nodes;
                 let cls =
                   match a.Protocol.a_stopped with
                   | Some s -> Failure.of_stopped s
@@ -951,6 +960,9 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
                  first_dispatch = None;
                  ready_since = t0;
                  result = None;
+                 spent_time = 0.;
+                 spent_decisions = 0;
+                 spent_nodes = 0;
                })
              jobs);
       pool = [];

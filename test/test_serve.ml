@@ -316,8 +316,12 @@ let test_budget_give_up_unknown () =
   in
   let job = Protocol.job ~id:0 ~max_nodes:1 (Qbf_run.Run.Path path) in
   let reports, summary = Supervisor.run ~policy [ job ] in
+  let r = List.hd reports in
   Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
-    (List.hd reports).Supervisor.r_outcome;
+    r.Supervisor.r_outcome;
+  (* the give-up reports what its attempts searched *)
+  Alcotest.(check bool) "decisions searched" true (r.Supervisor.r_decisions > 0);
+  Alcotest.(check bool) "nodes searched" true (r.Supervisor.r_nodes > 0);
   Alcotest.(check int) "summary unknown" 1 summary.Supervisor.s_unknown;
   Alcotest.(check int) "summary errors" 0 summary.Supervisor.s_errors
 
