@@ -241,7 +241,7 @@ let matrix c ~nvars =
       match int c with
       | Some 0 -> clauses (Clause.of_dimacs_list lits :: acc) []
       | Some n ->
-          if abs n > nvars then fail c "literal %d out of range" n;
+          if n > nvars || n < -nvars then fail c "literal %d out of range" n;
           clauses acc (n :: lits)
       | None -> fail c "unexpected word %S in matrix" (word c)
   in

@@ -136,7 +136,10 @@ let test_which_texts_load () =
     "2:6: unbalanced '(' in quantifier tree";
   rejects "p ncnf 2 2\nt (e 1)\n1 2 0\nt (a 2)\n-1 -2 0\n"
     "4:1: unexpected word \"t\" in matrix";
-  (* so does a tree on the header's own line *)
+  (* a literal out of range has a position, [min_int] too *)
+  rejects "p cnf 1 1\n-4611686018427387904 0\n"
+    "2:1: literal -4611686018427387904 out of range";
+  (* a tree on the header's own line is not a tree *)
   rejects "p ncnf 2 2 (e 1 (a 2))\n1 2 0\n-1 -2 0\n"
     "1:12: unexpected word \"(e\" in matrix"
 
