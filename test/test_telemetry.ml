@@ -430,7 +430,7 @@ let suite =
       test_stats_frame_roundtrip;
     Alcotest.test_case "stats version gate" `Quick
       test_stats_frame_version_gate;
-    Alcotest.test_case "heartbeat without nodes rejected" `Quick
+    Alcotest.test_case "heartbeat needs its node count" `Quick
       test_heartbeat_without_nodes;
     Alcotest.test_case "clean batch reconciles" `Quick
       test_clean_batch_reconciles;
