@@ -96,7 +96,7 @@ let clause_key c =
 
 (* Formula mode sizes the tables once, from the formula.  Trust mode
    starts empty and grows them on [v] records, up to the largest
-   variable count the QDIMACS loader accepts. *)
+   variable count the loader accepts. *)
 let max_trust_var = Qbf_io.Load.max_declared_vars
 
 let resize st n =

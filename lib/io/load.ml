@@ -253,7 +253,8 @@ let read text =
       tline = 1; tcol = 1 }
   in
   let tree, nvars = header c in
-  (* the prefix is validated after the matrix is read *)
+  (* the prefix is built after the matrix is read, so a syntax error
+     anywhere is reported before a prefix that [Prefix] rejects *)
   let prefix =
     if tree then
       let roots = forest c ~nvars in

@@ -117,8 +117,8 @@ type report = {
   r_stopped : string option;
   r_error : string option;
   r_cached : bool;
-  r_decisions : int; (* summed like [r_time] *)
-  r_nodes : int;
+  r_decisions : int; (* like [r_time] *)
+  r_nodes : int; (* like [r_time] *)
   r_proof : string option;
       (* certificate path of the winning attempt, present only after it
          passed the supervisor's spot-check *)
