@@ -125,7 +125,9 @@ let test_which_texts_load () =
   loads "p cnf\n2\n2 e 1 0\na 2 0\n1 2 0\n-1 -2 0\n" q;
   loads "p ncnf\n 2 2\nt (e 1 (a 2))\n1 2 0\n-1 -2 0\n" n;
   (* the clause count must be an integer, in both formats *)
-  let malformed = "1:1: malformed header (expected 'p cnf <nvars> <nclauses>')" in
+  let malformed =
+    "1:1: malformed header (expected 'p cnf <nvars> <nclauses>')"
+  in
   rejects "p cnf 2 x\ne 1 0\n1 0\n" malformed;
   rejects "p ncnf 2 x\nt (e 1)\n1 0\n" malformed;
   (* tree lines start with 't' (dropped) or '(', and comments may come
@@ -151,7 +153,8 @@ let gen_lead_and_text =
     let* lead =
       map (String.concat "")
         (list_size (int_bound 6)
-           (oneofl [ "\n"; " \t\r\n"; "\012\n"; "c\n"; "c p cnf 9 9\n"; "  c x\n" ]))
+           (oneofl
+              [ "\n"; " \t\r\n"; "\012\n"; "c\n"; "c p cnf 9 9\n"; "  c x\n" ]))
     in
     let* seed = int_range 0 100_000 in
     let* tree = bool in

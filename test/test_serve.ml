@@ -320,7 +320,8 @@ let test_budget_give_up_unknown () =
   Alcotest.check Util.outcome "stopped by the node budget" ST.Unknown
     r.Supervisor.r_outcome;
   (* the give-up reports what its attempts searched *)
-  Alcotest.(check bool) "decisions searched" true (r.Supervisor.r_decisions > 0);
+  Alcotest.(check bool) "decisions searched" true
+    (r.Supervisor.r_decisions > 0);
   Alcotest.(check bool) "nodes searched" true (r.Supervisor.r_nodes > 0);
   Alcotest.(check int) "summary unknown" 1 summary.Supervisor.s_unknown;
   Alcotest.(check int) "summary errors" 0 summary.Supervisor.s_errors
