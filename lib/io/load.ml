@@ -30,8 +30,7 @@ exception Fail of int * int * string
 
 (* A cursor reads the text in place.  [next] finds the next token and
    leaves its span and 1-based position in the cursor, so a token is
-   copied only for a diagnostic or an integer [int] cannot read in
-   place. *)
+   copied only to read it as an integer or for a diagnostic. *)
 type cursor = {
   text : string;
   mutable pos : int; (* next byte to read *)
@@ -113,23 +112,12 @@ let paren c p = c.text.[c.start] = p
 (* The byte under the cursor, not yet read, is [ch]. *)
 let at c ch = c.pos < String.length c.text && c.text.[c.pos] = ch
 
-(* The last token as [int_of_string_opt] reads it; a plain decimal run
-   of at most 18 digits cannot overflow and is read in place. *)
-let int c =
-  let s = c.text in
-  let first = if s.[c.start] = '-' then c.start + 1 else c.start in
-  let k = ref first and n = ref 0 in
-  while !k < c.stop && !k - first < 18 && s.[!k] >= '0' && s.[!k] <= '9' do
-    n := (10 * !n) + Char.code s.[!k] - Char.code '0';
-    incr k
-  done;
-  if !k = c.stop && !k > first then
-    Some (if first > c.start then - !n else !n)
-  else int_of_string_opt (word c)
+let int c = int_of_string_opt (word c)
 
 (* [p cnf|ncnf <nvars> <nclauses>], after whatever text precedes the
-   [p] token; the header may span lines, and the clause count must be
-   an integer but is not used.  [true] selects the quantifier tree. *)
+   [p] token; after its second word the header may span lines (a line
+   starting with [cnf] is a comment), and the clause count must be an
+   integer but is not used.  [true] selects the quantifier tree. *)
 let header c =
   let rec find () =
     if not (next c) then fail c "missing 'p cnf' header"

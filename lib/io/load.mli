@@ -22,9 +22,9 @@
     A token is a run of bytes between blanks (space, tab, CR, form feed)
     and line ends; inside a tree each parenthesis is a token too.  A
     line that is blank or whose first non-blank byte is [c] is a
-    comment.  Text before the [p] token is skipped, the header may span
-    lines, and its clause count must be an integer but is not used.
-    Integers read as [int_of_string_opt] reads them. *)
+    comment.  Text before the [p] token is skipped; after its second word
+    the header may span lines, and its clause count must be an integer
+    but is not used.  Integers read as [int_of_string_opt] reads them. *)
 
 (** Everything between "here is a file" and "here is a formula" that
     can fail. *)

@@ -121,13 +121,15 @@ let test_which_texts_load () =
   (* tabs and form feeds separate tokens as spaces do *)
   loads "p\tcnf 2\0122\ne\t1 0\na 2\0120\n1\t2 0\n-1\012-2 0\n" q;
   loads "p\tncnf 2\0122\nt\t(e\0121 (a\t2))\n1\t2 0\n-1\012-2 0\n" n;
-  (* the header may span lines *)
-  loads "p cnf\n2\n2 e 1 0\na 2 0\n1 2 0\n-1 -2 0\n" q;
-  loads "p ncnf\n 2 2\nt (e 1 (a 2))\n1 2 0\n-1 -2 0\n" n;
-  (* the clause count must be an integer, in both formats *)
+  (* after its second word the header may span lines; before it, a line
+     that starts with "cnf" is a comment *)
   let malformed =
     "1:1: malformed header (expected 'p cnf <nvars> <nclauses>')"
   in
+  loads "p cnf\n2\n2 e 1 0\na 2 0\n1 2 0\n-1 -2 0\n" q;
+  loads "p ncnf\n 2 2\nt (e 1 (a 2))\n1 2 0\n-1 -2 0\n" n;
+  rejects "p\ncnf 2 2\ne 1 0\na 2 0\n1 2 0\n-1 -2 0\n" malformed;
+  (* the clause count must be an integer, in both formats *)
   rejects "p cnf 2 x\ne 1 0\n1 0\n" malformed;
   rejects "p ncnf 2 x\nt (e 1)\n1 0\n" malformed;
   (* tree lines start with 't' (dropped) or '(', and comments may come
