@@ -108,7 +108,8 @@ type report = {
   r_outcome : ST.outcome;
   r_time : float;
       (* solve time of the winning attempt; without one, summed over the
-         job's inconclusive attempts (so 0 for a cache hit that waited) *)
+         inconclusive answers received (so 0 for a cache hit that waited,
+         and nothing from an attempt killed before it answered) *)
   r_wall : float; (* first-dispatch-to-answer wall time *)
   r_config : string; (* winning label, or "cache" / "" *)
   r_attempts : int; (* dispatches sent for this job *)
