@@ -4,12 +4,18 @@
    ≺-predecessors are all assigned, i.e. the top variables of the
    residual QBF — so the prefix is always respected.
 
-   - Total_order (QuBE(TO)): priority by (prefix level, activity, id),
-     the VSIDS-like ordering of the prenex solver.
+   - Total_order (QuBE(TO)): priority by (prefix level, activity), the
+     VSIDS-like ordering of the prenex solver.
    - Partial_order (QuBE(PO)): the score of a literal is its activity
      plus the maximum score of the literals one prefix level deeper
      inside its scope, computed bottom-up over the quantifier-tree
-     blocks; ties break towards the smaller variable id.
+     blocks.
+
+   Ties go to the ancestor block first, then to the smaller id.  As
+   activities stay non-negative, a PO score is at least the score of
+   every variable it ≺-precedes, which under TO lie a level deeper or
+   more, so the best-ranked unassigned variable is available: nothing is
+   set aside.
 
    Activities change only when State seeds or rescales them, so both
    rankings are fixed in between: {!Order} keeps them in a heap that is
@@ -40,7 +46,7 @@ let phase_literal s v =
 (* Recompute every key from the current activities and prefix, and
    heapify the unassigned variables.  Under PO the block scores are
    computed bottom-up: block ids are DFS-preorder, so children always
-   have larger ids than their parent. *)
+   have larger ids than their parent, and lose ties to it. *)
 let rebuild s =
   let o = s.S.order and n = s.S.nvars in
   (match s.S.config.search.heuristic with
@@ -71,27 +77,28 @@ let rebuild s =
         o.Order.major.(v) <- 0;
         o.Order.key.(v) <- max_act s v +. child_max.(s.S.block_of.(v))
       done);
+  Array.blit s.S.block_of 0 o.Order.block 0 n;
   Order.rebuild o n (fun v -> not (S.is_assigned s v))
 
-(* The best-ranked available variable, or -1 when every variable is
-   assigned.  Pops drop assigned variables (unassign re-inserts them)
-   and set aside unavailable ones, which go back after the pick.  Under
-   TO nothing is set aside: a child block is one prefix level below its
-   parent, so the first unassigned variable has its ancestors assigned.
-   Under PO a deeper variable can outrank an unassigned outer one. *)
+(* The best-ranked unassigned variable, or -1 when every variable is
+   assigned.  Pops drop assigned variables (unassign re-inserts them).
+   [debug_checks] fails the pick if an unassigned variable ≺-precedes
+   it, which the ranking rules out. *)
 let pick s =
   let o = s.S.order in
   if o.Order.stale then rebuild s;
-  let rec go aside =
-    if o.Order.size = 0 then (-1, aside)
+  let rec go () =
+    if o.Order.size = 0 then -1
     else
       let v = Order.pop o in
-      if S.is_assigned s v then go aside
-      else if S.available s v then (v, aside)
-      else go (v :: aside)
+      if S.is_assigned s v then go () else v
   in
-  let v, aside = go [] in
-  List.iter (Order.insert o) aside;
+  let v = go () in
+  if v >= 0 && s.S.config.search.debug_checks then
+    for u = 0 to s.S.nvars - 1 do
+      if (not (S.is_assigned s u)) && S.precedes s u v then
+        failwith (Printf.sprintf "debug_checks: %d precedes the pick %d" u v)
+    done;
   v
 
 (* Assign the next branch; [false] when every variable is assigned. *)

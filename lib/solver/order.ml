@@ -2,13 +2,16 @@
    first, with lazy deletion (MiniSat's order heap).
 
    A variable ranks by [major] ascending, then [key] descending, then
-   its id ascending, so no two variables tie.  Heuristic writes the
-   keys and calls {!rebuild} once per activity update; between updates
-   the ranking is fixed, and a pick pops the heap instead of scanning
-   every variable.  Assigned variables may stay in the heap (a pop
-   drops them); State re-inserts a variable on unassign, so every
-   unassigned variable is in the heap whenever the order is not
-   [stale]. *)
+   its block ascending, then its id ascending, so no two variables tie.
+   Block ids are DFS preorder, so ancestors win ties: with the
+   non-negative activities Heuristic's keys are built from, the first
+   unassigned variable popped is available, and nothing is set aside.
+   Heuristic writes the keys and calls {!rebuild} once per activity
+   update; between updates the ranking is fixed, and a pick pops the
+   heap instead of scanning every variable.  Assigned variables may
+   stay in the heap (a pop drops them); State re-inserts a variable on
+   unassign, so every unassigned variable is in the heap whenever the
+   order is not [stale]. *)
 
 type t = {
   heap : int array; (* variable ids; [heap.(0)] ranks first *)
@@ -16,6 +19,7 @@ type t = {
   index : int array; (* per var: its slot in [heap], -1 if out *)
   major : int array; (* per var: ranks ascending *)
   key : float array; (* per var: ranks descending *)
+  block : int array; (* per var: its block, ranks ascending *)
   mutable stale : bool;
       (* the keys predate the activities or the prefix: nothing is
          inserted until the next {!rebuild} *)
@@ -28,6 +32,7 @@ let create n =
     index = Array.make n (-1);
     major = Array.make n 0;
     key = Array.make n 0.;
+    block = Array.make n 0;
     stale = true;
   }
 
@@ -36,7 +41,10 @@ let before t a b =
   if ma <> mb then ma < mb
   else
     let ka = t.key.(a) and kb = t.key.(b) in
-    if ka <> kb then ka > kb else a < b
+    if ka <> kb then ka > kb
+    else
+      let ba = t.block.(a) and bb = t.block.(b) in
+      if ba <> bb then ba < bb else a < b
 
 let place t i v =
   t.heap.(i) <- v;

@@ -1,6 +1,10 @@
 (* Mutable search state: assignment trail, constraint database with
    eager counters on the original clauses and watched literals on the
-   learned constraints, purity counters, branching availability.
+   learned constraints, purity counters, literal activities.
+
+   Activities never go negative and the branching order breaks ties
+   towards the ancestor block, so its first unassigned variable is
+   available (see Heuristic): nothing is set aside or counted per block.
 
    Literals are raw ints (see {!Qbf_core.Lit}); [2*v] is the positive
    literal of variable [v].
@@ -88,14 +92,13 @@ type t = {
   mutable is_exist : bool array; (* per var *)
   mutable block_of : int array;
   mutable block_parent : int array;
-  mutable block_unassigned : int array;
   mutable d : int array; (* prefix timestamps, cached from Prefix *)
   mutable f : int array;
   mutable plevel : int array; (* per var: prefix level, cached for emits *)
   obs : Obs.t; (* observability collector; Obs.none when disabled *)
   mutable pos_unsat : int array; (* per literal: active unsatisfied clauses *)
   mutable counter : int array; (* per literal: active constraints with it *)
-  mutable act : float array; (* per literal: decayed activity *)
+  mutable act : float array; (* per literal: decayed activity, >= 0 *)
   mutable last_counter : int array;
   mutable unsat_originals : int;
   mutable num_original : int;
@@ -549,8 +552,6 @@ let assign s l ante =
   s.vlevel.(v) <- current_level s;
   s.pos.(v) <- Vec.length s.trail;
   Vec.push s.trail l;
-  let b = s.block_of.(v) in
-  s.block_unassigned.(b) <- s.block_unassigned.(b) - 1;
   let occ = s.occ.(l) in
   for i = 0 to Vec.length occ - 1 do
     touch_assign s (Vec.get occ i) l 1
@@ -577,8 +578,6 @@ let unassign s l =
   s.saved_phase.(v) <- s.value.(v);
   s.value.(v) <- -1;
   s.reason.(v) <- Decision;
-  let b = s.block_of.(v) in
-  s.block_unassigned.(b) <- s.block_unassigned.(b) + 1;
   if not s.order.Order.stale then Order.insert s.order v
 
 let clear_queues s =
@@ -698,16 +697,6 @@ let add_constraint s kind ~learned ?frame ?(lbd = 0) lits =
   end;
   cid
 
-(* --- availability (top variables of the residual QBF) ------------------ *)
-
-(* A variable is branchable when every variable preceding it is assigned,
-   i.e. all strict-ancestor blocks are fully assigned. *)
-let available s v =
-  (not (is_assigned s v))
-  &&
-  let rec up b = b < 0 || (s.block_unassigned.(b) = 0 && up s.block_parent.(b)) in
-  up s.block_parent.(s.block_of.(v))
-
 (* --- literal activities (Section VI) -------------------------------------- *)
 
 (* [act] and [last_counter] are written here only, and every write marks
@@ -727,11 +716,13 @@ let seed_activities s ~first =
   s.order.Order.stale <- true
 
 (* Periodic update: halve and add the variation of the tracked counter
-   since the previous update. *)
+   since the previous update, clamped at 0, as Heuristic needs: a
+   session pop or a DB reduction makes the variation negative. *)
 let rescale_activities s =
   for l = 0 to (2 * s.nvars) - 1 do
     let c = tracked s l in
-    s.act.(l) <- (s.act.(l) /. 2.) +. float_of_int (c - s.last_counter.(l));
+    let a = (s.act.(l) /. 2.) +. float_of_int (c - s.last_counter.(l)) in
+    s.act.(l) <- Float.max 0. a;
     s.last_counter.(l) <- c
   done;
   s.order.Order.stale <- true
@@ -745,7 +736,6 @@ type tables = {
   t_is_exist : bool array;
   t_block_of : int array;
   t_block_parent : int array;
-  t_block_size : int array;
   t_d : int array;
   t_f : int array;
   t_plevel : int array;
@@ -787,9 +777,6 @@ let prefix_tables prefix config =
     t_block_parent =
       Array.init nblocks (fun b ->
           if b < nb then Prefix.block_parent prefix b else -1);
-    t_block_size =
-      Array.init nblocks (fun b ->
-          if b < nb then Array.length (Prefix.block_vars prefix b) else 0);
     t_d =
       Array.init n (fun v ->
           if v < nvars then Prefix.discovery prefix v else 0);
@@ -861,7 +848,6 @@ let create ?proof formula config =
       is_exist = tb.t_is_exist;
       block_of = tb.t_block_of;
       block_parent = tb.t_block_parent;
-      block_unassigned = Array.copy tb.t_block_size;
       d = tb.t_d;
       f = tb.t_f;
       plevel = tb.t_plevel;
@@ -1108,7 +1094,6 @@ let extend s prefix =
   s.is_exist <- tb.t_is_exist;
   s.block_of <- tb.t_block_of;
   s.block_parent <- tb.t_block_parent;
-  s.block_unassigned <- Array.copy tb.t_block_size;
   s.d <- tb.t_d;
   s.f <- tb.t_f;
   s.plevel <- tb.t_plevel;

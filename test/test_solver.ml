@@ -201,8 +201,8 @@ let fpv_reduce_stats () =
 let pinned_search_path =
   [
     ( "counter3 PO",
-      "dec=1796 prop=22940 pure=18434 confl=40 sol=441 lc=39 lu=433 bj=472 fb=1 \
-       maxlvl=22 rst=0 del=0" );
+      "dec=2179 prop=29734 pure=21317 confl=40 sol=534 lc=39 lu=527 bj=566 fb=0 \
+       maxlvl=21 rst=0 del=0" );
     ( "counter3 TO",
       "dec=926 prop=11267 pure=11993 confl=9 sol=266 lc=8 lu=259 bj=267 fb=0 \
        maxlvl=20 rst=0 del=0" );
@@ -213,7 +213,7 @@ let pinned_search_path =
       "dec=113 prop=1168 pure=925 confl=11 sol=47 lc=10 lu=44 bj=54 fb=0 \
        maxlvl=9 rst=0 del=0" );
     ( "semaphore3 PO",
-      "dec=1468 prop=11829 pure=12330 confl=49 sol=204 lc=46 lu=199 bj=245 fb=6 \
+      "dec=1460 prop=11784 pure=12318 confl=49 sol=204 lc=46 lu=199 bj=245 fb=6 \
        maxlvl=23 rst=0 del=0" );
     ( "semaphore3 TO",
       "dec=2019 prop=13854 pure=13835 confl=230 sol=250 lc=96 lu=239 bj=335 fb=143 \

@@ -224,28 +224,35 @@ module Rng = Qbf_gen.Rng
 
 let max_act s v = Float.max s.S.act.(2 * v) s.S.act.((2 * v) + 1)
 
-(* The per-decision scans that Heuristic used before the order heap,
-   over the variables satisfying [ok] ([S.available s] in the solver):
-   least (prefix level, -activity, id) under TO, greatest (score, -id)
-   under PO. *)
-let scan_total_order s ok =
+(* On equal ranks, [u] goes before [v] when its block comes first (block
+   ids are DFS preorder, so an ancestor block before its descendants),
+   then when its id is smaller. *)
+let tie_first s u v =
+  let bu = Prefix.block_of s.S.prefix u and bv = Prefix.block_of s.S.prefix v in
+  bu < bv || (bu = bv && u < v)
+
+(* The per-decision scans that Heuristic used before the order heap, over
+   the unassigned variables: least (prefix level, -activity) under TO,
+   greatest score under PO, ties broken by [tie_first]. *)
+let scan_total_order s =
   let best = ref (-1) in
-  let best_level = ref max_int in
-  let best_act = ref neg_infinity in
   for v = 0 to s.S.nvars - 1 do
-    if ok v then begin
-      let lvl = Prefix.level s.S.prefix v in
-      let a = max_act s v in
-      if lvl < !best_level || (lvl = !best_level && a > !best_act) then begin
-        best := v;
-        best_level := lvl;
-        best_act := a
-      end
+    if not (S.is_assigned s v) then begin
+      let b = !best in
+      if b < 0 then best := v
+      else
+        let lv = Prefix.level s.S.prefix v and lb = Prefix.level s.S.prefix b in
+        if
+          lv < lb
+          || lv = lb
+             && (max_act s v > max_act s b
+                || (max_act s v = max_act s b && tie_first s v b))
+        then best := v
     end
   done;
   !best
 
-let scan_partial_order s ok =
+let scan_partial_order s =
   let nb = Prefix.num_blocks s.S.prefix in
   if nb = 0 then -1
   else begin
@@ -266,27 +273,37 @@ let scan_partial_order s ok =
       in
       block_best.(b) <- local +. cm
     done;
+    let score v = max_act s v +. child_max.(Prefix.block_of s.S.prefix v) in
     let best = ref (-1) in
-    let best_score = ref neg_infinity in
     for v = 0 to s.S.nvars - 1 do
-      if ok v then begin
-        let score = max_act s v +. child_max.(s.S.block_of.(v)) in
-        if score > !best_score then begin
-          best := v;
-          best_score := score
-        end
+      if not (S.is_assigned s v) then begin
+        let b = !best in
+        if
+          b < 0 || score v > score b || (score v = score b && tie_first s v b)
+        then best := v
       end
     done;
     !best
   end
 
-let scan s ok =
+let scan s =
   match s.S.config.ST.search.ST.heuristic with
-  | ST.Total_order -> scan_total_order s ok
-  | ST.Partial_order -> scan_partial_order s ok
+  | ST.Total_order -> scan_total_order s
+  | ST.Partial_order -> scan_partial_order s
 
-(* Activities drawn with zeros, ties and negative values. *)
-let palette = [| -3.; -1.5; -0.5; 0.; 0.; 0.5; 1.; 1.; 2.; 4. |]
+(* The test's own availability oracle: no unassigned variable
+   ≺-precedes [v]. *)
+let branchable s v =
+  let ok = ref true in
+  for u = 0 to s.S.nvars - 1 do
+    if (not (S.is_assigned s u)) && Prefix.precedes s.S.prefix u v then
+      ok := false
+  done;
+  !ok
+
+(* Activities drawn with zeros and ties, never negative, as State keeps
+   them. *)
+let palette = [| 0.; 0.; 0.5; 1.; 1.; 2.; 4. |]
 
 let draw_activities rng s =
   for l = 0 to (2 * s.S.nvars) - 1 do
@@ -295,55 +312,76 @@ let draw_activities rng s =
 
 (* A few rounds of: backjump to a random level, decide a few random
    unassigned variables without propagating, then pick.  The heap's pick
-   must be the scan's; it is then decided, as the engine would.  Returns
-   the rounds whose best unassigned variable was unavailable, so the
-   pick had to set it aside. *)
+   must be the scan's, and branchable; it is then decided, as the engine
+   would. *)
 let check_picks rng s what =
-  let unassigned v = not (S.is_assigned s v) in
-  let aside = ref 0 in
   for _ = 1 to 4 do
     S.backtrack s (Rng.int rng (S.current_level s + 1));
     for _ = 1 to Rng.int rng 4 do
       let v = Rng.int rng s.S.nvars in
-      if unassigned v then
+      if not (S.is_assigned s v) then
         S.new_decision s ((2 * v) + Rng.int rng 2) ~flipped:false
     done;
-    let want = scan s (S.available s) in
-    if scan s unassigned <> want then incr aside;
+    let want = scan s in
     let got = Qbf_solver.Heuristic.pick s in
     if got <> want then
       QCheck2.Test.fail_reportf "%s: the order picks %d, the scan %d" what got
         want;
-    if got >= 0 then S.new_decision s (2 * got) ~flipped:false
-  done;
-  !aside
+    if got >= 0 then begin
+      if not (branchable s got) then
+        QCheck2.Test.fail_reportf
+          "%s: the pick %d has an unassigned predecessor" what got;
+      S.new_decision s (2 * got) ~flipped:false
+    end
+  done
+
+(* [f] with its variables renamed by a random permutation.  The
+   generators number variables outermost first, so without it an id tie
+   would always agree with the block tie (the diameter encodings give
+   inner blocks the smaller ids). *)
+let renumbered rng f =
+  let n = Formula.nvars f in
+  let perm = Rng.shuffle rng (Array.init n Fun.id) in
+  let rec rename (Prefix.Node (q, vs, cs)) =
+    Prefix.node q (List.map (fun v -> perm.(v)) vs) (List.map rename cs)
+  in
+  let lit l = Lit.make perm.(Lit.var l) (Lit.is_pos l) in
+  Formula.make
+    (Prefix.of_forest ~nvars:n
+       (List.map rename (Prefix.roots (Formula.prefix f))))
+    (List.map
+       (fun c -> Clause.of_list (List.map lit (Clause.to_list c)))
+       (Formula.matrix f))
+
+let random_formula rng =
+  let nvars = 1 + Rng.int rng 14 in
+  let nclauses = Rng.int rng (2 * nvars) in
+  renumbered rng
+    (if Rng.bool rng then Qbf_gen.Randqbf.tree rng ~nvars ~nclauses ~len:3 ()
+     else
+       Qbf_gen.Randqbf.prenex rng ~nvars ~levels:(1 + Rng.int rng 4)
+         ~nclauses ~len:3 ~min_exists:0 ())
 
 (* Under both heuristics, on a random tree or prenex formula: the picks
    after State.create, after drawn activities are rescaled, and after a
-   session's search and growth.  Returns the set-aside rounds under PO. *)
-let order_matches_scans seed =
+   session's search and growth. *)
+let prop_order_matches_scans seed =
   let rng = Rng.create seed in
-  let nvars = 1 + Rng.int rng 14 in
-  let nclauses = Rng.int rng (2 * nvars) in
-  let f =
-    if Rng.bool rng then Qbf_gen.Randqbf.tree rng ~nvars ~nclauses ~len:3 ()
-    else
-      Qbf_gen.Randqbf.prenex rng ~nvars ~levels:(1 + Rng.int rng 4) ~nclauses
-        ~len:3 ~min_exists:0 ()
-  in
-  List.fold_left
-    (fun aside heuristic ->
+  let f = random_formula rng in
+  let nvars = Formula.nvars f in
+  List.iter
+    (fun heuristic ->
       let config = ST.(default_config |> with_heuristic heuristic) in
       let s = S.create f config in
-      let n = check_picks rng s "after create" in
+      check_picks rng s "after create";
       draw_activities rng s;
       S.rescale_activities s;
-      let n = n + check_picks rng s "after rescale" in
+      check_picks rng s "after rescale";
       let config = ST.(config |> with_max_nodes (Some (Rng.int rng 30))) in
       let t = Session.of_formula ~config f in
       let s = Session.state_for_testing t in
       ignore (Session.solve t);
-      let n = n + check_picks rng s "after a session solve" in
+      check_picks rng s "after a session solve";
       draw_activities rng s;
       let b = Session.new_block t Quant.Exists in
       let first = Session.new_vars t b (1 + Rng.int rng 2) in
@@ -352,24 +390,109 @@ let order_matches_scans seed =
       Session.add_clause t
         [ Lit.make first true; Lit.make (Rng.int rng nvars) (Rng.bool rng) ];
       ignore (Session.solve t);
-      let n = n + check_picks rng s "after session growth" in
-      Session.dispose t;
-      if heuristic = ST.Partial_order then aside + n else aside)
-    0
-    [ ST.Total_order; ST.Partial_order ]
-
-let prop_order_matches_scans seed =
-  ignore (order_matches_scans seed);
+      check_picks rng s "after session growth";
+      Session.dispose t)
+    [ ST.Total_order; ST.Partial_order ];
   true
 
-(* The generator must reach the set-aside path: an unassigned variable
-   in an outer block while a higher-ranked one waits below it. *)
-let test_order_reaches_set_aside () =
-  let aside = ref 0 in
-  for seed = 0 to 99 do
-    aside := !aside + order_matches_scans seed
+(* A session pop and a DB reduction both take constraints out of the
+   occurrence counters, so the next rescale adds a negative variation to
+   the activities that track them.  After each, under both heuristics
+   and with [debug_checks] on (Heuristic.pick then fails on a pick that
+   an unassigned variable precedes): every activity is >= 0, the picks
+   of [check_picks] are the scan's and branchable, and the session
+   searches on.  Returns how many activities the rescales would have
+   made negative without the clamp, after pops and after reductions. *)
+let counter_drops seed =
+  let rng = Rng.create seed in
+  let f =
+    renumbered rng
+      (Qbf_gen.Ncf.generate_ratio rng ~dep:4 ~var:4 ~ratio:2.5 ~lpc:4)
+  in
+  let matrix = Array.of_list (Formula.matrix f) in
+  let after_pop = ref 0 and after_reduce = ref 0 in
+  let rescale s drops what =
+    for l = 0 to (2 * s.S.nvars) - 1 do
+      let c = S.tracked s l in
+      if (s.S.act.(l) /. 2.) +. float_of_int (c - s.S.last_counter.(l)) < 0.
+      then incr drops
+    done;
+    S.rescale_activities s;
+    for l = 0 to (2 * s.S.nvars) - 1 do
+      if not (s.S.act.(l) >= 0.) then
+        Alcotest.failf "seed %d, %s: literal %d has activity %g" seed what l
+          s.S.act.(l)
+    done
+  in
+  (* a matrix clause with its signs redrawn, so its variables lie on one
+     path of the quantifier tree *)
+  let redrawn () =
+    List.map
+      (fun l -> Lit.make (Lit.var l) (Rng.bool rng))
+      (Clause.to_list matrix.(Rng.int rng (Array.length matrix)))
+  in
+  List.iter
+    (fun heuristic ->
+      let config =
+        ST.(
+          default_config |> with_heuristic heuristic |> with_debug_checks true
+          |> with_max_nodes (Some (1 + Rng.int rng 40))
+          |> with_db_keep_fraction 0.)
+      in
+      let t = Session.of_formula ~config f in
+      let s = Session.state_for_testing t in
+      Session.push t;
+      for _ = 1 to 1 + Rng.int rng 6 do
+        Session.add_clause t (redrawn ())
+      done;
+      ignore (Session.solve t);
+      (* the periodic update, as the search makes it every 256 leaves *)
+      S.rescale_activities s;
+      Session.pop t;
+      rescale s after_pop "after a session pop";
+      check_picks rng s "after a session pop";
+      ignore (Session.solve t);
+      S.rescale_activities s;
+      Qbf_solver.Engine.reduce_db_for_testing s;
+      rescale s after_reduce "after a DB reduction";
+      check_picks rng s "after a DB reduction";
+      ignore (Session.solve t);
+      Session.dispose t)
+    [ ST.Total_order; ST.Partial_order ];
+  (!after_pop, !after_reduce)
+
+(* The property over 200 seeds; both paths must reach a negative
+   variation, or the clamp goes untested. *)
+let test_activities_stay_nonnegative () =
+  let pops = ref 0 and reductions = ref 0 in
+  for seed = 0 to 199 do
+    let p, r = counter_drops seed in
+    pops := !pops + p;
+    reductions := !reductions + r
   done;
-  Alcotest.(check bool) "PO picks set candidates aside" true (!aside > 0)
+  Alcotest.(check bool) "some pop drops a counter" true (!pops > 0);
+  Alcotest.(check bool) "some reduction drops a counter" true (!reductions > 0)
+
+(* Negative activities break the ranking's guarantee: under [debug_checks]
+   the pick then fails instead of branching on a variable whose
+   predecessor is unassigned. *)
+let test_debug_checks_catch_bad_pick () =
+  let p =
+    Prefix.of_forest ~nvars:2
+      [ Prefix.node Quant.Exists [ 0 ] [ Prefix.node Quant.Forall [ 1 ] [] ] ]
+  in
+  let f = Formula.make p [ Util.clause [ 1; 2 ]; Util.clause [ -1; -2 ] ] in
+  let pick debug =
+    let s = S.create f ST.(default_config |> with_debug_checks debug) in
+    s.S.act.(0) <- -1.;
+    s.S.act.(1) <- -1.;
+    s.S.order.Qbf_solver.Order.stale <- true;
+    Qbf_solver.Heuristic.pick s
+  in
+  Alcotest.(check int) "without the checks, the inner variable" 1 (pick false);
+  match pick true with
+  | exception Failure _ -> ()
+  | v -> Alcotest.failf "debug_checks let pick %d through" v
 
 (* --- the watch kernel against the closure-based scans it replaced ------ *)
 
@@ -541,8 +664,10 @@ let suite =
     Util.qcheck_case ~count:300 "order heap picks as the scans do"
       (QCheck2.Gen.int_range 0 10_000_000)
       prop_order_matches_scans;
-    Alcotest.test_case "order heap reaches the set-aside path" `Quick
-      test_order_reaches_set_aside;
+    Alcotest.test_case "activities stay non-negative" `Quick
+      test_activities_stay_nonnegative;
+    Alcotest.test_case "debug checks catch a bad pick" `Quick
+      test_debug_checks_catch_bad_pick;
     Util.qcheck_case ~count:300 "watch kernel scans as the closures do"
       (QCheck2.Gen.int_range 0 10_000_000)
       prop_kernels_match_oracle;

@@ -400,14 +400,20 @@ let golden_registry () =
   Telemetry.on_reap t ~dying:false (Unix.WEXITED 0);
   t
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+(* dune copies the golden files beside the test binary, so the path
+   holds whatever the working directory *)
+let read_golden name =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) ("golden/" ^ name)
+  in
+  In_channel.with_open_bin path In_channel.input_all
 
 let test_golden_exposition () =
   let t = golden_registry () in
   let json = Json.to_string (Telemetry.to_json ~now:102.5 t) ^ "\n" in
-  Alcotest.(check string) "JSON" (read_file "golden/telemetry.json") json;
+  Alcotest.(check string) "JSON" (read_golden "telemetry.json") json;
   Alcotest.(check string) "Prometheus"
-    (read_file "golden/telemetry.prom")
+    (read_golden "telemetry.prom")
     (Telemetry.to_prometheus ~now:102.5 t);
   match Telemetry.check_json (Telemetry.to_json ~now:102.5 t) with
   | Ok () -> ()
